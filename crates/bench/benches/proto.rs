@@ -35,13 +35,6 @@ fn bench_proto(c: &mut Criterion) {
         })
     });
 
-    let v = Value::for_item(1, 128);
-    group.bench_function("value_to_units", |b| b.iter(|| black_box(v.to_units())));
-    let units = v.to_units();
-    group.bench_function("value_from_units", |b| {
-        b.iter(|| black_box(Value::from_units(black_box(&units), 128).expect("valid")))
-    });
-
     group.finish();
 }
 

@@ -71,7 +71,7 @@ pub fn split(payload: &[u8]) -> Option<Vec<(u32, Value)>> {
         let end = (start + MAX_VALUE_LEN).min(payload.len());
         out.push((
             i,
-            Value::new(payload[start..end].to_vec()).expect("chunk within bound"),
+            Value::from_slice(&payload[start..end]).expect("chunk within bound"),
         ));
     }
     // Manifest chunk last.

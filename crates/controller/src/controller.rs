@@ -967,10 +967,10 @@ mod tests {
 
         // The switch now serves the key from cache.
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, Key::from_u64(3), 0);
-        let out = sw.process(get, CLIENT_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::GetReplyHit);
+        let out = sw.process(get, CLIENT_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::GetReplyHit);
         assert_eq!(
-            out[0].1.netcache.value.as_ref().unwrap(),
+            out.1.netcache.value.as_ref().unwrap(),
             &Value::for_item(3, 32)
         );
     }
@@ -990,9 +990,9 @@ mod tests {
 
         // The switch serves the wide value from cache, recirculating twice.
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 0);
-        let out = sw.process(get, CLIENT_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::GetReplyHit);
-        assert_eq!(out[0].1.netcache.value.as_ref().unwrap(), &value);
+        let out = sw.process(get, CLIENT_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::GetReplyHit);
+        assert_eq!(out.1.netcache.value.as_ref().unwrap(), &value);
         assert_eq!(sw.stats().recirculations, 2);
     }
 

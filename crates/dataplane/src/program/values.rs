@@ -60,14 +60,33 @@ impl ValueStages {
         }
     }
 
-    /// The stage bitmap pass `k` of a `passes`-pass entry uses: every
-    /// stage for intermediate passes, `bitmap` for the final pass.
-    fn pass_mask(&self, bitmap: u8, k: u8, passes: u8) -> u8 {
-        if k + 1 < passes {
-            self.full_mask()
-        } else {
-            bitmap
-        }
+    /// The register cells of an in-bounds entry in pass-then-bitmap order,
+    /// as `(pass, stage, row)`: pass `k` visits row `index + k` of every
+    /// stage for intermediate passes and of `bitmap`'s stages for the
+    /// final one. Each cell pairs with the next 16-byte chunk of the
+    /// value's bytes, so reads and writes work on those bytes directly.
+    fn cells(
+        &self,
+        bitmap: u8,
+        index: u32,
+        passes: u8,
+    ) -> impl Iterator<Item = (u64, usize, usize)> {
+        let full = self.full_mask();
+        (0..passes).flat_map(move |k| {
+            let mask = if k + 1 < passes { full } else { bitmap };
+            (0..8usize)
+                .filter(move |stage| mask >> stage & 1 != 0)
+                .map(move |stage| (u64::from(k), stage, index as usize + usize::from(k)))
+        })
+    }
+
+    /// Whether a `value_len`-byte value fits the `(bitmap, index, passes)`
+    /// entry. A data-plane update may have shrunk the value below the
+    /// slots the allocation reserves (§4.3: new values may be *smaller*);
+    /// only the chunks the current length needs are emitted.
+    fn holds(&self, bitmap: u8, index: u32, passes: u8, value_len: usize) -> bool {
+        self.entry_in_bounds(bitmap, index, passes)
+            && value_len.div_ceil(VALUE_UNIT).max(1) <= self.capacity_units(bitmap, passes)
     }
 
     /// Units a `(bitmap, passes)` allocation can hold: `passes - 1` full
@@ -104,29 +123,18 @@ impl ValueStages {
         passes: u8,
         value_len: u16,
     ) -> Option<Value> {
-        if !self.entry_in_bounds(bitmap, index, passes) {
+        if !self.holds(bitmap, index, passes, usize::from(value_len)) {
             return None;
         }
-        let mut units: Vec<[u8; VALUE_UNIT]> =
-            Vec::with_capacity(self.capacity_units(bitmap, passes));
-        for k in 0..passes {
-            let mask = self.pass_mask(bitmap, k, passes);
-            let row = index as usize + k as usize;
-            for (i, stage) in self.stages.iter_mut().enumerate() {
-                if mask & (1 << i) != 0 {
-                    units.push(stage.read(base_epoch + k as u64, row));
-                }
+        let mut value = Value::filled(0, usize::from(value_len));
+        let mut chunks = value.as_bytes_mut().chunks_mut(VALUE_UNIT);
+        for (k, stage, row) in self.cells(bitmap, index, passes) {
+            let unit = self.stages[stage].read(base_epoch + k, row);
+            if let Some(chunk) = chunks.next() {
+                chunk.copy_from_slice(&unit[..chunk.len()]);
             }
         }
-        // A data-plane update may have shrunk the value below the slots
-        // the allocation reserves (§4.3: new values may be *smaller*); the
-        // deparser emits only the units the current length needs.
-        let needed = (value_len as usize).div_ceil(VALUE_UNIT).max(1);
-        if units.len() < needed {
-            return None;
-        }
-        units.truncate(needed);
-        Value::from_units(&units, value_len as usize)
+        Some(value)
     }
 
     /// Data-plane write (a `CacheUpdate` packet walking the pipe, once per
@@ -147,23 +155,12 @@ impl ValueStages {
         passes: u8,
         value: &Value,
     ) -> bool {
-        if !self.entry_in_bounds(bitmap, index, passes) {
+        if !self.holds(bitmap, index, passes, value.len()) {
             return false;
         }
-        let units = value.to_units();
-        if units.len() > self.capacity_units(bitmap, passes) {
-            return false;
-        }
-        let mut unit_iter = units.into_iter();
-        for k in 0..passes {
-            let mask = self.pass_mask(bitmap, k, passes);
-            let row = index as usize + k as usize;
-            for (i, stage) in self.stages.iter_mut().enumerate() {
-                if mask & (1 << i) != 0 {
-                    let unit = unit_iter.next().unwrap_or([0u8; VALUE_UNIT]);
-                    stage.write(base_epoch + k as u64, row, unit);
-                }
-            }
+        let mut chunks = value.as_bytes().chunks(VALUE_UNIT);
+        for (k, stage, row) in self.cells(bitmap, index, passes) {
+            self.stages[stage].write(base_epoch + k, row, padded_unit(chunks.next()));
         }
         true
     }
@@ -171,48 +168,38 @@ impl ValueStages {
     /// Control-plane write used by the controller when inserting a new key
     /// (and for values larger than the data-plane update path allows).
     pub fn poke_value(&mut self, bitmap: u8, index: u32, passes: u8, value: &Value) -> bool {
-        if !self.entry_in_bounds(bitmap, index, passes) {
+        if !self.holds(bitmap, index, passes, value.len()) {
             return false;
         }
-        let units = value.to_units();
-        if units.len() > self.capacity_units(bitmap, passes) {
-            return false;
-        }
-        let mut unit_iter = units.into_iter();
-        for k in 0..passes {
-            let mask = self.pass_mask(bitmap, k, passes);
-            let row = index as usize + k as usize;
-            for (i, stage) in self.stages.iter_mut().enumerate() {
-                if mask & (1 << i) != 0 {
-                    stage.poke(row, unit_iter.next().unwrap_or([0u8; VALUE_UNIT]));
-                }
-            }
+        let mut chunks = value.as_bytes().chunks(VALUE_UNIT);
+        for (_, stage, row) in self.cells(bitmap, index, passes) {
+            self.stages[stage].poke(row, padded_unit(chunks.next()));
         }
         true
     }
 
     /// Control-plane read (used in tests and by the resource report).
     pub fn peek_value(&self, bitmap: u8, index: u32, passes: u8, value_len: u16) -> Option<Value> {
-        if !self.entry_in_bounds(bitmap, index, passes) {
+        if !self.holds(bitmap, index, passes, usize::from(value_len)) {
             return None;
         }
-        let mut units = Vec::new();
-        for k in 0..passes {
-            let mask = self.pass_mask(bitmap, k, passes);
-            let row = index as usize + k as usize;
-            for (i, stage) in self.stages.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    units.push(stage.peek(row));
-                }
-            }
+        let mut value = Value::filled(0, usize::from(value_len));
+        let chunks = value.as_bytes_mut().chunks_mut(VALUE_UNIT);
+        for (chunk, (_, stage, row)) in chunks.zip(self.cells(bitmap, index, passes)) {
+            chunk.copy_from_slice(&self.stages[stage].peek(row)[..chunk.len()]);
         }
-        let needed = (value_len as usize).div_ceil(VALUE_UNIT).max(1);
-        if units.len() < needed {
-            return None;
-        }
-        units.truncate(needed);
-        Value::from_units(&units, value_len as usize)
+        Some(value)
     }
+}
+
+/// One register unit holding `chunk`, zero-padded; a zero unit once the
+/// value's bytes are exhausted.
+fn padded_unit(chunk: Option<&[u8]>) -> [u8; VALUE_UNIT] {
+    let mut unit = [0u8; VALUE_UNIT];
+    if let Some(chunk) = chunk {
+        unit[..chunk.len()].copy_from_slice(chunk);
+    }
+    unit
 }
 
 #[cfg(test)]
@@ -233,6 +220,37 @@ mod tests {
             let back = vs.read_value(2, bitmap, 3, 1, len as u16).unwrap();
             assert_eq!(back, v, "len={len}");
         }
+    }
+
+    #[test]
+    fn round_trip_all_lengths() {
+        // Every length from empty to the wire maximum survives write →
+        // read (data plane) and poke → peek (control plane), with the
+        // final unit's zero padding trimmed.
+        let mut vs = stages();
+        for len in 0..=netcache_proto::MAX_VALUE_LEN {
+            let v = Value::for_item(0x1234_5678_9abc_def0, len);
+            let passes = v.passes() as u8;
+            let tail = v.units() - (passes as usize - 1) * 8;
+            let bitmap = ((1u16 << tail) - 1) as u8;
+            let epoch = 1 + 64 * len as u64;
+            assert!(vs.write_value(epoch, bitmap, 0, passes, &v), "len={len}");
+            let back = vs.read_value(epoch + 32, bitmap, 0, passes, len as u16);
+            assert_eq!(back.unwrap(), v, "len={len}");
+            assert!(vs.poke_value(bitmap, 0, passes, &v), "len={len}");
+            let back = vs.peek_value(bitmap, 0, passes, len as u16);
+            assert_eq!(back.unwrap(), v, "len={len}");
+        }
+    }
+
+    #[test]
+    fn last_unit_is_zero_padded() {
+        let mut vs = stages();
+        assert!(vs.write_value(1, 0b0000_0011, 0, 1, &Value::filled(0xff, 20)));
+        let mut expected = vec![0xff; 20];
+        expected.resize(32, 0);
+        let stored = vs.peek_value(0b0000_0011, 0, 1, 32).unwrap();
+        assert_eq!(stored.as_bytes(), &expected[..]);
     }
 
     #[test]

@@ -256,15 +256,18 @@ impl NetCacheSwitch {
         self.stats = AtomicSwitchStats::default();
     }
 
-    /// Processes one packet arriving on `in_port`, returning the packets to
-    /// emit as `(egress_port, packet)` pairs.
+    /// Processes one packet arriving on `in_port`, returning the packet to
+    /// emit as `(egress_port, packet)`, or `None` if it was dropped. No
+    /// branch of the program emits more than one packet: a served read is
+    /// the query rewritten in place, an update turns into its own ack, and
+    /// chain steering forwards to exactly one next hop.
     ///
     /// `&self`: callers in different threads proceed concurrently. Two
     /// packets steered to the same egress pipe serialize behind that pipe's
     /// mutex in lock-acquisition order (= arrival order at the pipe);
     /// packets in different pipes share nothing but lock-free match state
     /// and relaxed counters.
-    pub fn process(&self, pkt: Packet, in_port: PortId) -> Vec<(PortId, Packet)> {
+    pub fn process(&self, pkt: Packet, in_port: PortId) -> Option<(PortId, Packet)> {
         // Epochs are allocated globally, so they are unique per packet but
         // not necessarily monotone *within* a pipe — the register access
         // discipline (one access per array per packet) only needs
@@ -322,7 +325,7 @@ impl NetCacheSwitch {
                     };
                     phv.pkt.netcache.chain_version = 0;
                     phv.pkt.refresh_lengths();
-                    return vec![(chain[0].port, phv.pkt)];
+                    return Some((chain[0].port, phv.pkt));
                 }
             } else if op.is_chain() {
                 let Some(chain) = self.chains.get(&phv.pkt.ipv4.dst) else {
@@ -330,7 +333,7 @@ impl NetCacheSwitch {
                     // forward was in flight); the client's retry will be
                     // re-steered against the current topology.
                     self.stats.drops.fetch_add(1, Ordering::Relaxed);
-                    return Vec::new();
+                    return None;
                 };
                 // The sender's chain position is its ingress port: every
                 // transport re-injects a server's output at that server's
@@ -339,10 +342,10 @@ impl NetCacheSwitch {
                     // A replica that was spliced out re-emitted a stale
                     // forward; drop it (client retransmission recovers).
                     self.stats.drops.fetch_add(1, Ordering::Relaxed);
-                    return Vec::new();
+                    return None;
                 };
                 if pos + 1 < chain.len() {
-                    return vec![(chain[pos + 1].port, phv.pkt)];
+                    return Some((chain[pos + 1].port, phv.pkt));
                 }
                 return self.commit_at_tail(phv);
             } else if op == Op::Get && phv.meta.cache.is_none() {
@@ -359,7 +362,7 @@ impl NetCacheSwitch {
                         .stats
                         .on_cache_miss(phv.epoch, &phv.pkt.netcache.key);
                     self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    return vec![(tail.port, phv.pkt)];
+                    return Some((tail.port, phv.pkt));
                 }
             }
         }
@@ -377,7 +380,7 @@ impl NetCacheSwitch {
         }
         if phv.meta.drop {
             self.stats.drops.fetch_add(1, Ordering::Relaxed);
-            return Vec::new();
+            return None;
         }
         let egress_port = phv
             .meta
@@ -389,7 +392,7 @@ impl NetCacheSwitch {
 
         // ---- Egress pipeline ----
         if !phv.pkt.is_netcache() {
-            return vec![(egress_port, phv.pkt)];
+            return Some((egress_port, phv.pkt));
         }
         // One lock per packet, held for the duration of the egress pipeline:
         // this is the per-pipe serialization point. No other lock is taken
@@ -428,25 +431,25 @@ impl NetCacheSwitch {
                                     .meta
                                     .reply_port
                                     .expect("router saved reply route for cached read");
-                                let reply = phv.pkt.into_reply(Op::GetReplyHit, Some(value));
+                                phv.pkt.make_reply(Op::GetReplyHit, Some(value));
                                 // Mirror to the upstream port toward the client.
-                                return vec![(reply_port, reply)];
+                                return Some((reply_port, phv.pkt));
                             }
                             None => {
                                 // Inconsistent controller state; fail safe by
                                 // sending the query to the server.
                                 self.stats.invalid_hits.fetch_add(1, Ordering::Relaxed);
-                                return vec![(egress_port, phv.pkt)];
+                                return Some((egress_port, phv.pkt));
                             }
                         }
                     }
                     self.stats.invalid_hits.fetch_add(1, Ordering::Relaxed);
-                    return vec![(egress_port, phv.pkt)];
+                    return Some((egress_port, phv.pkt));
                 }
                 // Cache miss: heavy-hitter detection on the uncached key.
                 self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
                 pipe.stats.on_cache_miss(epoch, &phv.pkt.netcache.key);
-                vec![(egress_port, phv.pkt)]
+                Some((egress_port, phv.pkt))
             }
             Op::Put | Op::Delete => {
                 if let Some(entry) = phv.meta.cache {
@@ -463,7 +466,7 @@ impl NetCacheSwitch {
                         .cached_variant()
                         .expect("Put/Delete have cached variants");
                 }
-                vec![(egress_port, phv.pkt)]
+                Some((egress_port, phv.pkt))
             }
             Op::CacheUpdate => {
                 // The status stage precedes the value stages: the version
@@ -521,11 +524,11 @@ impl NetCacheSwitch {
                 // Always acknowledge: the ack means "processed", and a
                 // non-applied update leaves the entry invalid, which is
                 // safe (reads go to the server).
-                let ack = phv.pkt.into_reply(Op::CacheUpdateAck, None);
-                vec![(phv.ingress_port, ack)]
+                phv.pkt.make_reply(Op::CacheUpdateAck, None);
+                Some((phv.ingress_port, phv.pkt))
             }
             // Replies and acks pass through by destination routing.
-            _ => vec![(egress_port, phv.pkt)],
+            _ => Some((egress_port, phv.pkt)),
         }
     }
 
@@ -537,7 +540,7 @@ impl NetCacheSwitch {
     /// and the switch cache both hold the write — a client never sees an
     /// ack for a value the cache could still serve stale (§4.3 freshness,
     /// extended across replicas).
-    fn commit_at_tail(&self, phv: Phv) -> Vec<(PortId, Packet)> {
+    fn commit_at_tail(&self, mut phv: Phv) -> Option<(PortId, Packet)> {
         let op = phv.pkt.netcache.op;
         let chain_version = phv.pkt.netcache.chain_version;
         let epoch = phv.epoch;
@@ -595,12 +598,12 @@ impl NetCacheSwitch {
         }
         self.stats.chain_commits.fetch_add(1, Ordering::Relaxed);
         let reply_op = op.reply_op().expect("chain ops have reply opcodes");
-        let reply = phv.pkt.into_reply(reply_op, None);
-        match self.router.lookup(reply.ipv4.dst) {
-            Some(port) => vec![(port, reply)],
+        phv.pkt.make_reply(reply_op, None);
+        match self.router.lookup(phv.pkt.ipv4.dst) {
+            Some(port) => Some((port, phv.pkt)),
             None => {
                 self.stats.drops.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
+                None
             }
         }
     }
@@ -608,11 +611,11 @@ impl NetCacheSwitch {
     /// Processes a raw frame, parsing it first. Unparseable frames are
     /// dropped; non-NetCache frames would be forwarded by a real switch,
     /// but the reproduction's transports only carry NetCache traffic.
-    pub fn process_bytes(&self, frame: &[u8], in_port: PortId) -> Vec<(PortId, Vec<u8>)> {
-        let mut out = Vec::new();
+    pub fn process_bytes(&self, frame: &[u8], in_port: PortId) -> Option<(PortId, Vec<u8>)> {
+        let mut out = None;
         let mut scratch = Vec::new();
         self.process_frame_with(frame, in_port, &mut scratch, |port, bytes| {
-            out.push((port, bytes.to_vec()));
+            out = Some((port, bytes.to_vec()));
         });
         out
     }
@@ -631,7 +634,7 @@ impl NetCacheSwitch {
     ) {
         match Packet::parse(frame) {
             Ok(pkt) => {
-                for (port, out) in self.process(pkt, in_port) {
+                if let Some((port, out)) = self.process(pkt, in_port) {
                     out.deparse_into(scratch);
                     emit(port, scratch);
                 }
@@ -998,9 +1001,8 @@ mod tests {
         install(&mut sw, key, &value, 0, 0);
 
         let query = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 5);
-        let out = sw.process(query, CLIENT_PORT);
-        assert_eq!(out.len(), 1);
-        let (port, reply) = &out[0];
+        let out = sw.process(query, CLIENT_PORT).expect("one output");
+        let (port, reply) = &out;
         assert_eq!(*port, CLIENT_PORT, "mirrored to the client's port");
         assert_eq!(reply.netcache.op, Op::GetReplyHit);
         assert_eq!(reply.netcache.value.as_ref().unwrap(), &value);
@@ -1017,9 +1019,8 @@ mod tests {
         install(&mut sw, key, &value, 0, 0);
 
         let query = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 5);
-        let out = sw.process(query, CLIENT_PORT);
-        assert_eq!(out.len(), 1);
-        let (port, reply) = &out[0];
+        let out = sw.process(query, CLIENT_PORT).expect("one output");
+        let (port, reply) = &out;
         assert_eq!(*port, CLIENT_PORT);
         assert_eq!(reply.netcache.op, Op::GetReplyHit);
         assert_eq!(reply.netcache.value.as_ref().unwrap(), &value);
@@ -1039,11 +1040,13 @@ mod tests {
         let key = Key::from_u64(2048);
         let value = Value::for_item(9, 2048); // 128 units = 16 passes
         install(&mut sw, key, &value, 0, 0);
-        let out = sw.process(
-            Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 1),
-            CLIENT_PORT,
-        );
-        assert_eq!(out[0].1.netcache.value.as_ref().unwrap(), &value);
+        let out = sw
+            .process(
+                Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 1),
+                CLIENT_PORT,
+            )
+            .expect("one output");
+        assert_eq!(out.1.netcache.value.as_ref().unwrap(), &value);
         assert_eq!(sw.stats().recirculations, 15);
     }
 
@@ -1058,15 +1061,15 @@ mod tests {
         let put = Packet::put_query(1, CLIENT_IP, SERVER_IP, key, 2, Value::for_item(4, 200));
         sw.process(put, CLIENT_PORT);
         let update = Packet::cache_update(SERVER_IP, SWITCH_IP, key, 2, Value::for_item(4, 200));
-        let out = sw.process(update, SERVER_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::CacheUpdateAck);
+        let out = sw.process(update, SERVER_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::CacheUpdateAck);
         assert_eq!(sw.stats().updates_applied, 1);
 
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 3);
-        let out = sw.process(get, CLIENT_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::GetReplyHit);
+        let out = sw.process(get, CLIENT_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::GetReplyHit);
         assert_eq!(
-            out[0].1.netcache.value.as_ref().unwrap(),
+            out.1.netcache.value.as_ref().unwrap(),
             &Value::for_item(4, 200)
         );
 
@@ -1076,21 +1079,22 @@ mod tests {
         let update = Packet::cache_update(SERVER_IP, SWITCH_IP, key, 4, Value::for_item(5, 400));
         sw.process(update, SERVER_PORT);
         assert_eq!(sw.stats().updates_ignored, 1);
-        let out = sw.process(
-            Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 5),
-            CLIENT_PORT,
-        );
-        assert_eq!(out[0].0, SERVER_PORT, "entry stays invalid");
+        let out = sw
+            .process(
+                Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 5),
+                CLIENT_PORT,
+            )
+            .expect("one output");
+        assert_eq!(out.0, SERVER_PORT, "entry stays invalid");
     }
 
     #[test]
     fn cache_miss_forwarded_to_server() {
         let sw = switch();
         let query = Packet::get_query(1, CLIENT_IP, SERVER_IP, Key::from_u64(9), 0);
-        let out = sw.process(query.clone(), CLIENT_PORT);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, SERVER_PORT);
-        assert_eq!(out[0].1, query, "miss forwards the query unchanged");
+        let out = sw.process(query.clone(), CLIENT_PORT).expect("one output");
+        assert_eq!(out.0, SERVER_PORT);
+        assert_eq!(out.1, query, "miss forwards the query unchanged");
         assert_eq!(sw.stats().cache_misses, 1);
     }
 
@@ -1101,16 +1105,16 @@ mod tests {
         install(&mut sw, key, &Value::filled(1, 16), 0, 0);
 
         let put = Packet::put_query(1, CLIENT_IP, SERVER_IP, key, 2, Value::filled(2, 16));
-        let out = sw.process(put, CLIENT_PORT);
-        assert_eq!(out[0].0, SERVER_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::PutCached);
+        let out = sw.process(put, CLIENT_PORT).expect("one output");
+        assert_eq!(out.0, SERVER_PORT);
+        assert_eq!(out.1.netcache.op, Op::PutCached);
         assert_eq!(sw.stats().write_invalidations, 1);
 
         // Subsequent read must go to the server, not the stale cache.
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 3);
-        let out = sw.process(get, CLIENT_PORT);
-        assert_eq!(out[0].0, SERVER_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::Get);
+        let out = sw.process(get, CLIENT_PORT).expect("one output");
+        assert_eq!(out.0, SERVER_PORT);
+        assert_eq!(out.1.netcache.op, Op::Get);
         assert_eq!(sw.stats().invalid_hits, 1);
     }
 
@@ -1125,8 +1129,8 @@ mod tests {
             2,
             Value::filled(2, 16),
         );
-        let out = sw.process(put.clone(), CLIENT_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::Put, "op unchanged for uncached");
+        let out = sw.process(put.clone(), CLIENT_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::Put, "op unchanged for uncached");
         assert_eq!(sw.stats().write_invalidations, 0);
     }
 
@@ -1142,18 +1146,17 @@ mod tests {
 
         // Server pushes the new value with version 2.
         let update = Packet::cache_update(SERVER_IP, SWITCH_IP, key, 2, Value::filled(9, 32));
-        let out = sw.process(update, SERVER_PORT);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1.netcache.op, Op::CacheUpdateAck);
-        assert_eq!(out[0].0, SERVER_PORT, "ack returns to the server");
+        let out = sw.process(update, SERVER_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::CacheUpdateAck);
+        assert_eq!(out.0, SERVER_PORT, "ack returns to the server");
         assert_eq!(sw.stats().updates_applied, 1);
 
         // Read is now served by the cache with the new value.
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 3);
-        let out = sw.process(get, CLIENT_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::GetReplyHit);
+        let out = sw.process(get, CLIENT_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::GetReplyHit);
         assert_eq!(
-            out[0].1.netcache.value.as_ref().unwrap(),
+            out.1.netcache.value.as_ref().unwrap(),
             &Value::filled(9, 32)
         );
     }
@@ -1183,10 +1186,10 @@ mod tests {
         assert_eq!(sw.stats().updates_ignored, 1);
 
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 3);
-        let out = sw.process(get, CLIENT_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::GetReplyHit, "entry stays valid");
+        let out = sw.process(get, CLIENT_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::GetReplyHit, "entry stays valid");
         assert_eq!(
-            out[0].1.netcache.value.as_ref().unwrap(),
+            out.1.netcache.value.as_ref().unwrap(),
             &Value::filled(2, 16),
             "replayed stale update must not overwrite the live value"
         );
@@ -1202,13 +1205,13 @@ mod tests {
         sw.process(put, CLIENT_PORT);
         // A stale/duplicate update with version 1 must not revalidate.
         let update = Packet::cache_update(SERVER_IP, SWITCH_IP, key, 1, Value::filled(8, 16));
-        let out = sw.process(update, SERVER_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::CacheUpdateAck);
+        let out = sw.process(update, SERVER_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::CacheUpdateAck);
         assert_eq!(sw.stats().updates_ignored, 1);
 
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 3);
-        let out = sw.process(get, CLIENT_PORT);
-        assert_eq!(out[0].0, SERVER_PORT, "entry must stay invalid");
+        let out = sw.process(get, CLIENT_PORT).expect("one output");
+        assert_eq!(out.0, SERVER_PORT, "entry must stay invalid");
     }
 
     #[test]
@@ -1220,12 +1223,12 @@ mod tests {
         let put = Packet::put_query(1, CLIENT_IP, SERVER_IP, key, 2, Value::filled(2, 64));
         sw.process(put, CLIENT_PORT);
         let update = Packet::cache_update(SERVER_IP, SWITCH_IP, key, 2, Value::filled(2, 64));
-        let out = sw.process(update, SERVER_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::CacheUpdateAck);
+        let out = sw.process(update, SERVER_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::CacheUpdateAck);
         assert_eq!(sw.stats().updates_ignored, 1);
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 3);
-        let out = sw.process(get, CLIENT_PORT);
-        assert_eq!(out[0].0, SERVER_PORT);
+        let out = sw.process(get, CLIENT_PORT).expect("one output");
+        assert_eq!(out.0, SERVER_PORT);
     }
 
     #[test]
@@ -1238,8 +1241,8 @@ mod tests {
             1,
             Value::filled(1, 16),
         );
-        let out = sw.process(update, SERVER_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::CacheUpdateAck);
+        let out = sw.process(update, SERVER_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::CacheUpdateAck);
         assert_eq!(sw.stats().updates_ignored, 1);
     }
 
@@ -1269,10 +1272,9 @@ mod tests {
         let mut reply = reply;
         reply.ipv4.src = SERVER_IP;
         reply.ipv4.dst = CLIENT_IP;
-        let out = sw.process(reply, SERVER_PORT);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, CLIENT_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::GetReplyMiss);
+        let out = sw.process(reply, SERVER_PORT).expect("one output");
+        assert_eq!(out.0, CLIENT_PORT);
+        assert_eq!(out.1.netcache.op, Op::GetReplyMiss);
         assert_eq!(sw.stats().cache_hits, 0);
     }
 
@@ -1284,8 +1286,8 @@ mod tests {
         sw.reboot();
         assert_eq!(sw.cached_keys(), 0);
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 0);
-        let out = sw.process(get, CLIENT_PORT);
-        assert_eq!(out[0].0, SERVER_PORT, "routes survive, cache does not");
+        let out = sw.process(get, CLIENT_PORT).expect("one output");
+        assert_eq!(out.0, SERVER_PORT, "routes survive, cache does not");
     }
 
     #[test]
@@ -1295,16 +1297,15 @@ mod tests {
         let value = Value::for_item(42, 64);
         install(&mut sw, key, &value, 0, 0);
         let query = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 5).deparse();
-        let out = sw.process_bytes(&query, CLIENT_PORT);
-        assert_eq!(out.len(), 1);
-        let reply = Packet::parse(&out[0].1).unwrap();
+        let out = sw.process_bytes(&query, CLIENT_PORT).expect("one output");
+        let reply = Packet::parse(&out.1).unwrap();
         assert_eq!(reply.netcache.value.unwrap(), value);
     }
 
     #[test]
     fn malformed_frames_dropped() {
         let sw = switch();
-        assert!(sw.process_bytes(&[0u8; 10], CLIENT_PORT).is_empty());
+        assert!(sw.process_bytes(&[0u8; 10], CLIENT_PORT).is_none());
         assert_eq!(sw.stats().drops, 1);
     }
 
@@ -1362,11 +1363,10 @@ mod tests {
             2,
             Value::filled(3, 16),
         );
-        let out = sw.process(put, CLIENT_PORT);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, SERVER_PORT, "head gets the write first");
-        assert_eq!(out[0].1.netcache.op, Op::ChainPut);
-        assert_eq!(out[0].1.netcache.chain_version, 0, "unstamped until head");
+        let out = sw.process(put, CLIENT_PORT).expect("one output");
+        assert_eq!(out.0, SERVER_PORT, "head gets the write first");
+        assert_eq!(out.1.netcache.op, Op::ChainPut);
+        assert_eq!(out.1.netcache.chain_version, 0, "unstamped until head");
         assert_eq!(sw.stats().chain_writes, 1);
     }
 
@@ -1386,18 +1386,16 @@ mod tests {
         fwd.netcache.op = Op::ChainPut;
         fwd.netcache.chain_version = 7;
         fwd.refresh_lengths();
-        let out = sw.process(fwd.clone(), SERVER_PORT);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, REPLICA_PORT, "mid-chain hop goes to successor");
-        assert_eq!(out[0].1.netcache.op, Op::ChainPut);
+        let out = sw.process(fwd.clone(), SERVER_PORT).expect("one output");
+        assert_eq!(out.0, REPLICA_PORT, "mid-chain hop goes to successor");
+        assert_eq!(out.1.netcache.op, Op::ChainPut);
 
         // The same forward re-emitted by the tail converts to the reply.
-        let out = sw.process(fwd, REPLICA_PORT);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, CLIENT_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::PutReply);
-        assert_eq!(out[0].1.ipv4.dst, CLIENT_IP);
-        assert_eq!(out[0].1.netcache.seq, 2);
+        let out = sw.process(fwd, REPLICA_PORT).expect("one output");
+        assert_eq!(out.0, CLIENT_PORT);
+        assert_eq!(out.1.netcache.op, Op::PutReply);
+        assert_eq!(out.1.ipv4.dst, CLIENT_IP);
+        assert_eq!(out.1.netcache.seq, 2);
         assert_eq!(sw.stats().chain_commits, 1);
     }
 
@@ -1427,12 +1425,12 @@ mod tests {
 
         // Client write: entry invalidated, write steered to the head.
         let put = Packet::put_query(1, CLIENT_IP, SERVER_IP, key, 9, Value::filled(7, 16));
-        let out = sw.process(put, CLIENT_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::ChainPut);
+        let out = sw.process(put, CLIENT_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::ChainPut);
         assert_eq!(sw.stats().write_invalidations, 1);
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 10);
-        let out = sw.process(get.clone(), CLIENT_PORT);
-        assert_eq!(out[0].0, REPLICA_PORT, "invalid entry: read goes to tail");
+        let out = sw.process(get.clone(), CLIENT_PORT).expect("one output");
+        assert_eq!(out.0, REPLICA_PORT, "invalid entry: read goes to tail");
 
         // Head stamps version 2, forwards; tail re-emits → cache refreshed
         // in the same traversal that produces the client reply.
@@ -1441,14 +1439,14 @@ mod tests {
         fwd.netcache.chain_version = 2;
         fwd.refresh_lengths();
         sw.process(fwd.clone(), SERVER_PORT);
-        let out = sw.process(fwd.clone(), REPLICA_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::PutReply);
+        let out = sw.process(fwd.clone(), REPLICA_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::PutReply);
         assert_eq!(sw.stats().updates_applied, 1);
 
-        let out = sw.process(get.clone(), CLIENT_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::GetReplyHit);
+        let out = sw.process(get.clone(), CLIENT_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::GetReplyHit);
         assert_eq!(
-            out[0].1.netcache.value.as_ref().unwrap(),
+            out.1.netcache.value.as_ref().unwrap(),
             &Value::filled(7, 16)
         );
         assert_eq!(sw.peek_version(0, 0), 2);
@@ -1459,11 +1457,11 @@ mod tests {
         let dup = Packet::put_query(1, CLIENT_IP, SERVER_IP, key, 9, Value::filled(7, 16));
         sw.process(dup, CLIENT_PORT); // invalidates again
         sw.process(fwd.clone(), SERVER_PORT);
-        let out = sw.process(fwd, REPLICA_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::PutReply);
-        let out = sw.process(get, CLIENT_PORT);
+        let out = sw.process(fwd, REPLICA_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::PutReply);
+        let out = sw.process(get, CLIENT_PORT).expect("one output");
         assert_eq!(
-            out[0].1.netcache.op,
+            out.1.netcache.op,
             Op::GetReplyHit,
             "equal-version duplicate revalidates the entry"
         );
@@ -1478,11 +1476,11 @@ mod tests {
         fwd.netcache.op = Op::ChainDelete;
         fwd.netcache.chain_version = 2;
         fwd.refresh_lengths();
-        let out = sw.process(fwd, REPLICA_PORT);
-        assert_eq!(out[0].1.netcache.op, Op::DeleteReply);
+        let out = sw.process(fwd, REPLICA_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::DeleteReply);
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 4);
-        let out = sw.process(get, CLIENT_PORT);
-        assert_ne!(out[0].1.netcache.op, Op::GetReplyHit, "entry invalidated");
+        let out = sw.process(get, CLIENT_PORT).expect("one output");
+        assert_ne!(out.1.netcache.op, Op::GetReplyHit, "entry invalidated");
     }
 
     #[test]
@@ -1502,7 +1500,7 @@ mod tests {
         // Arrives on a port that is not part of the chain (a spliced-out
         // replica flushing a stale forward).
         let out = sw.process(fwd, CLIENT_PORT);
-        assert!(out.is_empty());
+        assert!(out.is_none());
         assert_eq!(sw.stats().drops, 1);
     }
 
@@ -1510,10 +1508,9 @@ mod tests {
     fn uncached_get_reads_from_tail() {
         let sw = chained_switch();
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, Key::from_u64(11), 0);
-        let out = sw.process(get, CLIENT_PORT);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, REPLICA_PORT, "reads go to the tail replica");
-        assert_eq!(out[0].1.netcache.op, Op::Get);
+        let out = sw.process(get, CLIENT_PORT).expect("one output");
+        assert_eq!(out.0, REPLICA_PORT, "reads go to the tail replica");
+        assert_eq!(out.1.netcache.op, Op::Get);
         assert_eq!(sw.stats().cache_misses, 1);
     }
 
@@ -1523,11 +1520,14 @@ mod tests {
         sw.reboot();
         assert!(sw.chain(SERVER_IP).is_some(), "chains survive reboot");
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, Key::from_u64(11), 0);
-        assert_eq!(sw.process(get.clone(), CLIENT_PORT)[0].0, REPLICA_PORT);
+        assert_eq!(
+            sw.process(get.clone(), CLIENT_PORT).expect("one output").0,
+            REPLICA_PORT
+        );
         sw.clear_chain(SERVER_IP);
         assert!(sw.chain(SERVER_IP).is_none());
         assert_eq!(
-            sw.process(get, CLIENT_PORT)[0].0,
+            sw.process(get, CLIENT_PORT).expect("one output").0,
             SERVER_PORT,
             "without a chain the home server serves reads again"
         );
@@ -1546,7 +1546,7 @@ mod tests {
         );
         // No route for that IP → dropped, but crucially NOT chain-steered.
         let out = sw.process(put, CLIENT_PORT);
-        assert!(out.is_empty());
+        assert!(out.is_none());
         assert_eq!(sw.stats().chain_writes, 0);
     }
 }

@@ -274,13 +274,39 @@ impl FabricCore {
     /// key, continuations under derived chunk keys), exactly as
     /// [`crate::fabric::LargeValueOps::put_large`] would write them.
     pub fn load_dataset_with(&self, num_keys: u64, len_of: impl Fn(u64) -> usize) {
+        use netcache_client::chunked;
         let factor = self.config.replication_factor.max(1);
+        let replicas = |key: &Key| {
+            self.addressing
+                .chain_servers(self.addressing.partition_of(key), factor)
+        };
+        // Size every store for exactly the keys it is about to receive, so
+        // the load does not rehash its way up from 16 buckets.
+        let mut expected: Vec<Vec<usize>> = self
+            .servers
+            .iter()
+            .map(|s| vec![0; s.store().shard_count()])
+            .collect();
+        for id in 0..num_keys {
+            let (base, len) = (Key::from_u64(id), len_of(id));
+            let chunks = if len <= netcache_proto::MAX_VALUE_LEN {
+                1
+            } else {
+                chunked::chunk_count(len)
+            };
+            for key in (0..chunks).map(|index| chunked::chunk_key(base, index)) {
+                for server in replicas(&key) {
+                    let store = self.servers[server as usize].store();
+                    expected[server as usize][store.shard_of(&key)] += 1;
+                }
+            }
+        }
+        for (server, per_shard) in self.servers.iter().zip(&expected) {
+            server.store().reserve(per_shard);
+        }
         let store_at = |key: Key, value: Value| {
-            let home = self.addressing.home_of(&key);
-            for server in self.addressing.chain_servers(home.server, factor) {
-                self.servers[server as usize]
-                    .store()
-                    .put(key, value.clone(), 1);
+            for server in replicas(&key) {
+                self.servers[server as usize].store().put(key, &value, 1);
             }
         };
         for id in 0..num_keys {
@@ -290,10 +316,10 @@ impl FabricCore {
                 store_at(base, Value::for_item(id, len));
             } else {
                 let payload = netcache_proto::item_bytes(id, len);
-                let chunks = netcache_client::chunked::split(&payload)
-                    .expect("dataset payload within the chunking cap");
+                let chunks =
+                    chunked::split(&payload).expect("dataset payload within the chunking cap");
                 for (index, value) in chunks {
-                    store_at(netcache_client::chunked::chunk_key(base, index), value);
+                    store_at(chunked::chunk_key(base, index), value);
                 }
             }
         }
@@ -480,7 +506,7 @@ impl ServerBackend for AgentBackend<'_> {
         let mut items = Vec::new();
         self.servers[from as usize].store().for_each(|key, item| {
             if self.addressing.partition_of(key) == partition {
-                items.push((*key, item.value.clone(), item.version));
+                items.push((*key, item.value, item.version));
             }
         });
         let dst = self.servers[to as usize].store();

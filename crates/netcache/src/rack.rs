@@ -47,6 +47,7 @@ use crate::fabric::{
     AgentTiming, ClientResponse, Clock, FabricCore, Link, RackError, RackHandle, RequestEngine,
     RetryOutcome, RetryPolicy,
 };
+use crate::fault::Delivery;
 #[allow(unused_imports)] // rustdoc links
 use crate::fault::NetworkModel;
 
@@ -65,60 +66,57 @@ enum Hop {
     Client { index: u32, pkt: Packet },
 }
 
-/// One scheduled delivery in the forwarding loop's event queue.
-struct Event {
-    at: u64,
-    /// Push order, used as the tiebreak for equal delivery times so the
-    /// heap preserves the pre-heap linear scan's "first pushed wins"
-    /// semantics and seeded runs stay byte-identical.
-    seq: u64,
-    hop: Hop,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    /// `BinaryHeap` is a max-heap: the *earliest* `(at, seq)` must compare
-    /// greatest so `pop` yields deliveries in time order.
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        Reverse((self.at, self.seq)).cmp(&Reverse((other.at, other.seq)))
-    }
-}
-
-/// Min-heap of scheduled deliveries with a stable insertion-order tiebreak.
-/// Replaces the O(n²) `Vec` + linear-scan-and-remove selection.
+/// Min-queue of scheduled deliveries, earliest first; equal delivery times
+/// pop in push order, which preserves the pre-heap linear scan's "first
+/// pushed wins" semantics and keeps seeded runs byte-identical.
+///
+/// The heap orders 16-byte `(at, slot)` keys. The hops — a whole [`Packet`]
+/// each — are written to `hops` once and sit still until popped, instead
+/// of being swapped through the heap's sift at every push and pop. Slots
+/// are handed out in push order, so the slot doubles as the tiebreak.
 #[derive(Default)]
 struct EventQueue {
-    heap: BinaryHeap<Event>,
-    next_seq: u64,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    hops: Vec<Option<Hop>>,
 }
 
 impl EventQueue {
-    fn new() -> Self {
-        EventQueue::default()
-    }
-
     fn push(&mut self, at: u64, hop: Hop) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Event { at, seq, hop });
+        self.heap.push(Reverse((at, self.hops.len())));
+        self.hops.push(Some(hop));
     }
 
     fn pop(&mut self) -> Option<(u64, Hop)> {
-        self.heap.pop().map(|e| (e.at, e.hop))
+        let Some(Reverse((at, slot))) = self.heap.pop() else {
+            // Drained: every slot has been popped, start over at slot 0.
+            self.hops.clear();
+            return None;
+        };
+        Some((at, self.hops[slot].take().expect("a slot pops once")))
     }
+}
+
+/// The buffers of one forwarding loop. A [`RackClient`] owns a set and
+/// every request clears — not drops — them, so a steady-state request
+/// allocates nothing here; [`Rack::execute`] and [`Rack::tick`] run the
+/// same loop over a fresh set. The loop leaves every buffer but
+/// `to_clients`, its result, empty.
+#[derive(Default)]
+struct DriveScratch {
+    events: EventQueue,
+    /// Packets that exited toward clients, as `(client_index, packet)`.
+    to_clients: Vec<(u32, Packet)>,
+    /// Deliveries due after the current rack time, on their way to
+    /// [`Rack::pending`].
+    deferred: Vec<(u64, Hop)>,
+    /// Service-time samples, recorded in one batch after the loop so the
+    /// histogram shards are not locked per packet.
+    switch_ns: Vec<u64>,
+    server_ns: Vec<u64>,
+    /// What the server agent being visited emits.
+    server_out: Vec<Packet>,
+    /// What the fault model makes of one link crossing.
+    deliveries: Vec<Delivery>,
 }
 
 /// The in-process rack.
@@ -155,7 +153,14 @@ impl Rack {
     /// Sends `pkt` across one link at `now`, converting each resulting
     /// delivery into an event via `hop` (deliveries may land in the
     /// future, realizing delay and reordering).
-    fn link(&self, pkt: Packet, now: u64, hop: impl Fn(Packet) -> Hop, events: &mut EventQueue) {
+    fn link(
+        &self,
+        pkt: Packet,
+        now: u64,
+        hop: impl Fn(Packet) -> Hop,
+        events: &mut EventQueue,
+        deliveries: &mut Vec<Delivery>,
+    ) {
         // Fault-free fast path: `transmit` would produce exactly one
         // immediate delivery, so skip its mutexes (they serialize
         // concurrent forwarding threads) and the Vec round-trip.
@@ -163,9 +168,8 @@ impl Rack {
             events.push(now, hop(pkt));
             return;
         }
-        let mut out = Vec::new();
-        self.core.faults.transmit(pkt, now, &mut out);
-        for d in out {
+        self.core.faults.transmit(pkt, now, deliveries);
+        for d in deliveries.drain(..) {
             events.push(d.deliver_at_ns, hop(d.pkt));
         }
     }
@@ -176,22 +180,30 @@ impl Rack {
     /// time park in the pending set and are drained by a later call once
     /// [`Rack::advance`] catches up.
     pub fn execute(&self, pkt: Packet, in_port: PortId) -> Vec<(u32, Packet)> {
-        let mut events = EventQueue::new();
+        let mut scratch = DriveScratch::default();
+        self.execute_with(&mut scratch, pkt, in_port);
+        scratch.to_clients
+    }
+
+    /// [`Rack::execute`] over caller-owned buffers; the client-bound
+    /// packets are left in `s.to_clients`.
+    fn execute_with(&self, s: &mut DriveScratch, pkt: Packet, in_port: PortId) {
         self.link(
             pkt,
             self.now(),
             |pkt| Hop::Switch { port: in_port, pkt },
-            &mut events,
+            &mut s.events,
+            &mut s.deliveries,
         );
-        self.drive(events)
+        self.drive(s);
     }
 
-    /// Runs `events` (and everything they spawn) to completion, in
+    /// Runs `s.events` (and everything they spawn) to completion, in
     /// delivery-time order, holding the switch *read* lock throughout:
     /// concurrent `drive` calls in other threads forward in parallel
     /// (serializing per egress pipe inside the switch), while the control
     /// plane's write lock still excludes whole forwarding loops.
-    fn drive(&self, mut events: EventQueue) -> Vec<(u32, Packet)> {
+    fn drive(&self, s: &mut DriveScratch) {
         let now = self.now();
         // Pull in previously delayed traffic that has matured. Drain order
         // (swap_remove scan) matches the pre-heap code: matured pending
@@ -202,26 +214,21 @@ impl Rack {
             while i < pending.len() {
                 if pending[i].0 <= now {
                     let (at, hop) = pending.swap_remove(i);
-                    events.push(at, hop);
+                    s.events.push(at, hop);
                 } else {
                     i += 1;
                 }
             }
         }
-        let mut to_clients = Vec::new();
-        let mut deferred = Vec::new();
-        // Service-time samples, recorded in one batch after the loop so
-        // the histogram shards are not locked per packet.
-        let mut switch_ns = Vec::new();
-        let mut server_ns = Vec::new();
+        s.to_clients.clear();
         let switch = self.core.switch.read();
         // Bounded loop: coherence traffic is finite, but a bug must not
         // hang tests.
         let mut hops = 0usize;
-        while let Some((at, hop)) = events.pop() {
+        while let Some((at, hop)) = s.events.pop() {
             if at > now {
                 // Not due yet: wait for the clock.
-                deferred.push((at, hop));
+                s.deferred.push((at, hop));
                 continue;
             }
             hops += 1;
@@ -229,65 +236,87 @@ impl Rack {
             match hop {
                 Hop::Switch { port, pkt } => {
                     let t0 = std::time::Instant::now();
-                    let outputs = switch.process(pkt, port);
-                    switch_ns.push(t0.elapsed().as_nanos() as u64);
-                    for (out_port, out_pkt) in outputs {
-                        match self.core.addressing.attachment(out_port) {
-                            Attachment::Server(i) => self.link(
-                                out_pkt,
-                                now,
-                                |pkt| Hop::Server {
-                                    index: i as usize,
-                                    port: out_port,
-                                    pkt,
-                                },
-                                &mut events,
-                            ),
-                            Attachment::Client(j) => self.link(
-                                out_pkt,
-                                now,
-                                |pkt| Hop::Client { index: j, pkt },
-                                &mut events,
-                            ),
-                            Attachment::Unused => {}
-                        }
+                    let output = switch.process(pkt, port);
+                    s.switch_ns.push(t0.elapsed().as_nanos() as u64);
+                    let Some((out_port, out_pkt)) = output else {
+                        continue;
+                    };
+                    match self.core.addressing.attachment(out_port) {
+                        Attachment::Server(i) => self.link(
+                            out_pkt,
+                            now,
+                            |pkt| Hop::Server {
+                                index: i as usize,
+                                port: out_port,
+                                pkt,
+                            },
+                            &mut s.events,
+                            &mut s.deliveries,
+                        ),
+                        Attachment::Client(j) => self.link(
+                            out_pkt,
+                            now,
+                            |pkt| Hop::Client { index: j, pkt },
+                            &mut s.events,
+                            &mut s.deliveries,
+                        ),
+                        Attachment::Unused => {}
                     }
                 }
                 Hop::Server { index, port, pkt } => {
                     let t0 = std::time::Instant::now();
-                    let outputs = self.core.servers[index].handle_packet(pkt, now);
-                    server_ns.push(t0.elapsed().as_nanos() as u64);
-                    for produced in outputs {
+                    self.core.servers[index].handle_packet_into(pkt, now, &mut s.server_out);
+                    s.server_ns.push(t0.elapsed().as_nanos() as u64);
+                    for produced in s.server_out.drain(..) {
                         // Packets a server emits cross the network too and
                         // are subject to the same faults.
-                        self.link(produced, now, |pkt| Hop::Switch { port, pkt }, &mut events);
+                        self.link(
+                            produced,
+                            now,
+                            |pkt| Hop::Switch { port, pkt },
+                            &mut s.events,
+                            &mut s.deliveries,
+                        );
                     }
                 }
-                Hop::Client { index, pkt } => to_clients.push((index, pkt)),
+                Hop::Client { index, pkt } => s.to_clients.push((index, pkt)),
             }
         }
         drop(switch);
-        self.core.switch_latency.record_batch(&switch_ns);
-        self.core.server_latency.record_batch(&server_ns);
-        if !deferred.is_empty() {
-            self.pending.lock().extend(deferred);
+        self.core.switch_latency.record_batch(&s.switch_ns);
+        self.core.server_latency.record_batch(&s.server_ns);
+        s.switch_ns.clear();
+        s.server_ns.clear();
+        if !s.deferred.is_empty() {
+            self.pending.lock().append(&mut s.deferred);
         }
-        to_clients
     }
 
     /// Drives server-agent retransmission timers at the current rack time
     /// and delivers any matured delayed traffic; retransmitted cache
     /// updates run through the forwarding loop.
     pub fn tick(&self) -> Vec<(u32, Packet)> {
+        let mut scratch = DriveScratch::default();
+        self.tick_with(&mut scratch);
+        scratch.to_clients
+    }
+
+    /// [`Rack::tick`] over caller-owned buffers.
+    fn tick_with(&self, s: &mut DriveScratch) {
         let now = self.now();
-        let mut events = EventQueue::new();
         for (i, server) in self.core.servers.iter().enumerate() {
             let port = self.core.addressing.server_port(i as u32);
             for pkt in server.tick(now) {
-                self.link(pkt, now, |pkt| Hop::Switch { port, pkt }, &mut events);
+                self.link(
+                    pkt,
+                    now,
+                    |pkt| Hop::Switch { port, pkt },
+                    &mut s.events,
+                    &mut s.deliveries,
+                );
             }
         }
-        self.drive(events)
+        self.drive(s);
     }
 
     /// Runs one controller cycle (heavy-hitter intake, cache updates,
@@ -324,6 +353,7 @@ impl Rack {
             index: j,
             client: self.core.make_client(j),
             policy: RetryPolicy::default(),
+            scratch: DriveScratch::default(),
         }
     }
 }
@@ -386,28 +416,27 @@ struct RackLink<'a> {
     rack: &'a Rack,
     index: u32,
     port: PortId,
+    scratch: &'a mut DriveScratch,
 }
 
 impl RackLink<'_> {
     /// Keeps this client's packets, discarding traffic for other ports.
-    fn collect(&self, out: Vec<(u32, Packet)>, replies: &mut Vec<Packet>) {
-        replies.extend(
-            out.into_iter()
-                .filter_map(|(j, pkt)| (j == self.index).then_some(pkt)),
-        );
+    fn collect(&mut self, replies: &mut Vec<Packet>) {
+        let mine = self.scratch.to_clients.drain(..);
+        replies.extend(mine.filter_map(|(j, pkt)| (j == self.index).then_some(pkt)));
     }
 }
 
 impl Link for RackLink<'_> {
     fn transmit(&mut self, pkt: &Packet, replies: &mut Vec<Packet>) {
-        let out = self.rack.execute(pkt.clone(), self.port);
-        self.collect(out, replies);
+        self.rack.execute_with(self.scratch, pkt.clone(), self.port);
+        self.collect(replies);
     }
 
     fn wait(&mut self, timeout_ns: u64, _want_seq: u32, replies: &mut Vec<Packet>) {
         self.rack.advance(timeout_ns);
-        let late = self.rack.tick();
-        self.collect(late, replies);
+        self.rack.tick_with(self.scratch);
+        self.collect(replies);
     }
 }
 
@@ -418,6 +447,7 @@ pub struct RackClient<'a> {
     index: u32,
     client: NetCacheClient,
     policy: RetryPolicy,
+    scratch: DriveScratch,
 }
 
 impl RackClient<'_> {
@@ -435,10 +465,10 @@ impl RackClient<'_> {
     fn run(&mut self, pkt: Packet) -> Option<ClientResponse> {
         let port = self.rack.core.addressing.client_port(self.index);
         let t0 = std::time::Instant::now();
-        let replies = self.rack.execute(pkt, port);
-        let found = replies.into_iter().find_map(|(j, pkt)| {
+        self.rack.execute_with(&mut self.scratch, pkt, port);
+        let found = self.scratch.to_clients.drain(..).find_map(|(j, pkt)| {
             (j == self.index)
-                .then(|| Response::from_packet(&pkt).map(ClientResponse::new))
+                .then(|| Response::from_owned(pkt).map(ClientResponse::new))
                 .flatten()
         });
         if found.is_some() {
@@ -458,6 +488,7 @@ impl RackClient<'_> {
             rack: self.rack,
             index: self.index,
             port: self.rack.core.addressing.client_port(self.index),
+            scratch: &mut self.scratch,
         };
         RequestEngine {
             policy: &self.policy,

@@ -167,9 +167,12 @@ impl UdpRack {
         // Per-socket work is unchanged from the per-thread layout: drain
         // a receive batch, run the data plane / agent on each frame,
         // serialize outputs in place (`deparse_into`) on the transmit
-        // ring, flush with one batched send. Ring buffers and drivers
-        // are reused for the life of the thread, so the fault-free hot
-        // path performs no per-frame heap allocation.
+        // ring, flush with one batched send. Ring buffers, drivers and
+        // the agents' output buffer are reused for the life of the
+        // thread, and neither the switch program nor an agent allocates
+        // for a value of at most one pipeline pass (128 B), so the
+        // fault-free hot path performs no per-frame heap allocation
+        // (`tests/alloc_free.rs` pins this).
         //
         // The fault model is applied on switch egress: every forwarded
         // frame passes through `transmit`, which may drop, duplicate or
@@ -200,6 +203,7 @@ impl UdpRack {
                 let mut scratch: Vec<u8> = Vec::with_capacity(crate::runtime::MAX_FRAME);
                 let mut delayed: Vec<(u64, SocketAddr, Vec<u8>)> = Vec::new();
                 let mut deliveries = Vec::new();
+                let mut outs: Vec<Packet> = Vec::new();
                 let mut ready: Vec<usize> = Vec::with_capacity(refs.len());
                 let mut last_tick = 0u64;
                 while !shutdown.load(Ordering::Relaxed) {
@@ -342,9 +346,9 @@ impl UdpRack {
                                         continue;
                                     };
                                     let t0 = Instant::now();
-                                    let outs = agent.handle_packet(pkt, now);
+                                    agent.handle_packet_into(pkt, now, &mut outs);
                                     core.server_latency.record(t0.elapsed().as_nanos() as u64);
-                                    for out in outs {
+                                    for out in outs.drain(..) {
                                         if tx.is_full() {
                                             flush(&core, drivers[i].as_mut(), refs[i], &mut tx);
                                         }
@@ -731,7 +735,7 @@ impl UdpClient {
                     continue;
                 };
                 let seq = reply.netcache.seq;
-                let response = Response::from_packet(&reply);
+                let response = Response::from_owned(reply);
                 let Some(entry) = inflight.get(&seq) else {
                     report.stale_replies += 1;
                     counters.stale_replies.fetch_add(1, Ordering::Relaxed);

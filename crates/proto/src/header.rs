@@ -189,7 +189,7 @@ impl NetCacheHdr {
         let value = if vlen == 0 {
             None
         } else {
-            Some(Value::new(bytes[..vlen].to_vec()).expect("vlen bounded above"))
+            Some(Value::from_slice(&bytes[..vlen]).expect("vlen bounded above"))
         };
         bytes = &bytes[vlen..];
         let chain_version = if op.is_chain() {

@@ -125,19 +125,27 @@ impl Packet {
         self.l4.dst_port() == NETCACHE_PORT || self.l4.src_port() == NETCACHE_PORT
     }
 
-    /// Turns this query into its in-place reply: op becomes `reply_op`,
+    /// Turns this query into its reply in place: op becomes `reply_op`,
     /// value replaced by `value` (an empty value normalizes to `None`, as
     /// on the wire), and L2-L4 source/destination swapped (§4.2 "the
     /// switch updates the packet header by swapping the source and
-    /// destination addresses and ports").
-    pub fn into_reply(mut self, reply_op: Op, value: Option<Value>) -> Packet {
+    /// destination addresses and ports"). The switch and the server agent
+    /// rewrite the packet they hold instead of moving it through
+    /// [`Packet::into_reply`].
+    #[inline]
+    pub fn make_reply(&mut self, reply_op: Op, value: Option<Value>) {
         self.netcache.op = reply_op;
-        self.netcache.value = value.and_then(NetCacheHdr::normalize);
+        self.netcache.value = value.filter(|v| !v.is_empty());
         self.netcache.chain_version = 0;
         self.eth.swap();
         self.ipv4.swap();
         self.l4.swap();
         self.refresh_lengths();
+    }
+
+    /// By-value form of [`Packet::make_reply`].
+    pub fn into_reply(mut self, reply_op: Op, value: Option<Value>) -> Packet {
+        self.make_reply(reply_op, value);
         self
     }
 
@@ -294,6 +302,11 @@ mod tests {
             );
             assert_eq!(pkt.wire_len(), pkt.deparse().len(), "vlen={vlen}");
         }
+    }
+
+    #[test]
+    fn packet_layout_stays_small() {
+        assert!(core::mem::size_of::<Packet>() <= 256);
     }
 
     #[test]

@@ -35,6 +35,13 @@ pub const MAX_VALUE_LEN: usize = PASS_VALUE_LEN * MAX_RECIRC_PASSES;
 /// register arrays in 16-byte units. Construction enforces the length bound,
 /// so every `Value` in the system is representable in the data plane.
 ///
+/// Like the PHV it models, a value of at most one pipeline pass
+/// ([`PASS_VALUE_LEN`] bytes) lives inline — building, cloning and parsing
+/// it never touch the allocator. Anything longer takes the recirculation
+/// path on the switch and one boxed buffer here. A given length has exactly
+/// one representation and comparisons see [`Value::as_bytes`] only, so the
+/// split is not observable through the API.
+///
 /// # Examples
 ///
 /// ```
@@ -44,17 +51,37 @@ pub const MAX_VALUE_LEN: usize = PASS_VALUE_LEN * MAX_RECIRC_PASSES;
 /// assert_eq!(v.len(), 5);
 /// assert_eq!(v.units(), 1); // rounds up to one 16-byte unit
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Value(Vec<u8>);
+#[derive(Clone)]
+pub struct Value(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `len <= PASS_VALUE_LEN`; bytes past `len` are unused.
+    Inline { len: u8, buf: [u8; PASS_VALUE_LEN] },
+    /// `len > PASS_VALUE_LEN`.
+    Spill(Box<[u8]>),
+}
 
 impl Value {
     /// Creates a value, returning `None` if `bytes` exceeds [`MAX_VALUE_LEN`].
     pub fn new(bytes: Vec<u8>) -> Option<Self> {
-        if bytes.len() > MAX_VALUE_LEN {
-            None
+        if (PASS_VALUE_LEN + 1..=MAX_VALUE_LEN).contains(&bytes.len()) {
+            Some(Value(Repr::Spill(bytes.into_boxed_slice())))
         } else {
-            Some(Value(bytes))
+            Value::from_slice(&bytes)
         }
+    }
+
+    /// Copies `bytes` into a value, returning `None` if they exceed
+    /// [`MAX_VALUE_LEN`]. Allocates only above [`PASS_VALUE_LEN`].
+    #[inline]
+    pub fn from_slice(bytes: &[u8]) -> Option<Self> {
+        if bytes.len() > PASS_VALUE_LEN {
+            return (bytes.len() <= MAX_VALUE_LEN).then(|| Value(Repr::Spill(bytes.into())));
+        }
+        let mut v = Value::filled(0, bytes.len());
+        v.as_bytes_mut().copy_from_slice(bytes);
+        Some(v)
     }
 
     /// Creates a value filled with `byte`, of length `len`.
@@ -63,9 +90,19 @@ impl Value {
     ///
     /// Panics if `len > MAX_VALUE_LEN`; intended for tests and workload
     /// generators with static sizes.
+    #[inline]
     pub fn filled(byte: u8, len: usize) -> Self {
         assert!(len <= MAX_VALUE_LEN, "value length {len} exceeds maximum");
-        Value(vec![byte; len])
+        if len <= PASS_VALUE_LEN {
+            let mut buf = [0u8; PASS_VALUE_LEN];
+            buf[..len].fill(byte);
+            Value(Repr::Inline {
+                len: len as u8,
+                buf,
+            })
+        } else {
+            Value(Repr::Spill(vec![byte; len].into_boxed_slice()))
+        }
     }
 
     /// A deterministic value derived from a key id, for workload generators.
@@ -73,25 +110,28 @@ impl Value {
     /// The first 8 bytes encode `id` big-endian so integrity can be checked
     /// end-to-end; the rest is a repeating pattern.
     pub fn for_item(id: u64, len: usize) -> Self {
-        assert!(len <= MAX_VALUE_LEN, "value length {len} exceeds maximum");
-        Value(item_bytes(id, len))
+        let mut v = Value::filled(0, len);
+        fill_item(id, v.as_bytes_mut());
+        v
     }
 
     /// Length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_bytes().len()
     }
 
     /// Whether the value is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
     }
 
     /// Number of 16-byte register-array units needed to store this value,
     /// rounded up. An empty value still occupies one unit (it must exist in
     /// at least one array so reads can reassemble it).
     pub fn units(&self) -> usize {
-        self.0.len().div_ceil(VALUE_UNIT).max(1)
+        self.len().div_ceil(VALUE_UNIT).max(1)
     }
 
     /// Number of pipeline passes (1 initial traversal + recirculations)
@@ -102,51 +142,22 @@ impl Value {
     }
 
     /// Raw bytes.
+    #[inline]
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Spill(bytes) => bytes,
+        }
     }
 
-    /// Consumes the value and returns its bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.0
-    }
-
-    /// Splits the value into 16-byte units, zero-padding the last unit.
-    ///
-    /// This is exactly the representation written into the switch register
-    /// arrays; [`Value::from_units`] is the inverse given the original length.
-    pub fn to_units(&self) -> Vec<[u8; VALUE_UNIT]> {
-        let n = self.units();
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut unit = [0u8; VALUE_UNIT];
-            let start = i * VALUE_UNIT;
-            let end = (start + VALUE_UNIT).min(self.0.len());
-            if start < self.0.len() {
-                unit[..end - start].copy_from_slice(&self.0[start..end]);
-            }
-            out.push(unit);
+    /// Raw bytes, writable in place (the length is fixed): the value stages
+    /// append their 16-byte units straight into the packet's VALUE field.
+    #[inline]
+    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
+        match &mut self.0 {
+            Repr::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Repr::Spill(bytes) => bytes,
         }
-        out
-    }
-
-    /// Reassembles a value from register-array units and its true length.
-    ///
-    /// Returns `None` if `len` is inconsistent with the number of units or
-    /// exceeds [`MAX_VALUE_LEN`].
-    pub fn from_units(units: &[[u8; VALUE_UNIT]], len: usize) -> Option<Self> {
-        if len > MAX_VALUE_LEN || units.len() != len.div_ceil(VALUE_UNIT).max(1) {
-            return None;
-        }
-        let mut bytes = Vec::with_capacity(len);
-        for unit in units {
-            let take = (len - bytes.len()).min(VALUE_UNIT);
-            bytes.extend_from_slice(&unit[..take]);
-            if bytes.len() == len {
-                break;
-            }
-        }
-        Some(Value(bytes))
     }
 }
 
@@ -157,20 +168,46 @@ impl Value {
 /// payloads that span multiple chunked items.
 pub fn item_bytes(id: u64, len: usize) -> Vec<u8> {
     let mut v = vec![0u8; len];
+    fill_item(id, &mut v);
+    v
+}
+
+fn fill_item(id: u64, out: &mut [u8]) {
     let be = id.to_be_bytes();
-    for (i, slot) in v.iter_mut().enumerate() {
+    for (i, slot) in out.iter_mut().enumerate() {
         *slot = if i < 8 { be[i] } else { (i as u8) ^ be[i % 8] };
     }
-    v
+}
+
+impl Default for Value {
+    /// The empty value.
+    fn default() -> Self {
+        Value::filled(0, 0)
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Value {}
+
+impl core::hash::Hash for Value {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
 }
 
 impl fmt::Debug for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Value[{}](", self.0.len())?;
-        for b in self.0.iter().take(8) {
+        let bytes = self.as_bytes();
+        write!(f, "Value[{}](", bytes.len())?;
+        for b in bytes.iter().take(8) {
             write!(f, "{b:02x}")?;
         }
-        if self.0.len() > 8 {
+        if bytes.len() > 8 {
             write!(f, "…")?;
         }
         write!(f, ")")
@@ -217,36 +254,47 @@ mod tests {
     }
 
     #[test]
-    fn unit_round_trip_all_lengths() {
-        for len in 0..=MAX_VALUE_LEN {
-            let v = Value::for_item(0x1234_5678_9abc_def0, len);
-            let units = v.to_units();
-            assert_eq!(units.len(), v.units());
-            let back = Value::from_units(&units, len).expect("round trip");
-            assert_eq!(back, v, "length {len}");
+    fn one_representation_per_length() {
+        // Every constructor lands on the same representation for a given
+        // length, so values that crossed different paths compare equal
+        // (and hash equal: `Hash` is over the same bytes); the inline/spill
+        // split sits exactly at one pipeline pass.
+        for len in [0usize, 1, 127, 128, 129, MAX_VALUE_LEN] {
+            let bytes = item_bytes(9, len);
+            let made = [
+                Value::new(bytes.clone()).unwrap(),
+                Value::from_slice(&bytes).unwrap(),
+                Value::for_item(9, len),
+                Value::try_from(bytes.clone()).unwrap(),
+            ];
+            for v in &made {
+                assert_eq!(v.as_bytes(), &bytes[..], "len={len}");
+                assert_eq!(v, &made[0], "len={len}");
+                assert_eq!(v.clone(), *v);
+                assert_eq!(
+                    matches!(v.0, Repr::Inline { .. }),
+                    len <= PASS_VALUE_LEN,
+                    "len={len}"
+                );
+            }
         }
+        assert!(Value::from_slice(&[0; MAX_VALUE_LEN + 1]).is_none());
+        assert_ne!(Value::filled(1, 128), Value::filled(1, 127));
     }
 
     #[test]
-    fn from_units_rejects_inconsistent_lengths() {
-        let v = Value::filled(7, 32);
-        let units = v.to_units();
-        assert!(Value::from_units(&units, MAX_VALUE_LEN + 1).is_none());
-        assert!(Value::from_units(&units, 64).is_none());
+    fn layout_stays_within_the_inline_budget() {
+        // One pass of bytes + length + discriminant, and `Option` is free.
+        assert!(core::mem::size_of::<Value>() <= 136);
+        assert_eq!(
+            core::mem::size_of::<Option<Value>>(),
+            core::mem::size_of::<Value>()
+        );
     }
 
     #[test]
     fn for_item_embeds_id() {
         let v = Value::for_item(42, 128);
         assert_eq!(&v.as_bytes()[..8], &42u64.to_be_bytes());
-    }
-
-    #[test]
-    fn last_unit_is_zero_padded() {
-        let v = Value::filled(0xff, 20);
-        let units = v.to_units();
-        assert_eq!(units.len(), 2);
-        assert_eq!(units[1][..4], [0xff; 4]);
-        assert_eq!(units[1][4..], [0u8; 12]);
     }
 }

@@ -113,6 +113,45 @@ proptest! {
     }
 }
 
+fn hash_of(v: &Option<Value>) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// The VALUE field changes representation between 128 and 129 bytes
+/// (inline vs spilled). That must not be observable: at every boundary
+/// length a value round-trips for every opcode and carrier, compares and
+/// hashes equal to one built another way, and a frame cut inside the VALUE
+/// is still a typed truncation.
+#[test]
+fn inline_boundary_is_not_observable() {
+    for len in [0usize, 1, 127, 128, 129, 130, MAX_VALUE_LEN] {
+        for op in ALL_OPS {
+            for udp in [true, false] {
+                let pkt = packet_for(op, 9, 4, len, 0x5c, udp);
+                let bytes = pkt.deparse();
+                let parsed = Packet::parse(&bytes).expect("well-formed packet parses");
+                assert_eq!(parsed, pkt, "{op:?} len={len}");
+                let rebuilt = Value::new(vec![0x5c; len]).filter(|v| !v.is_empty());
+                assert_eq!(parsed.netcache.value, rebuilt, "{op:?} len={len}");
+                assert_eq!(hash_of(&parsed.netcache.value), hash_of(&rebuilt));
+                let tail = if op.is_chain() { 4 } else { 0 };
+                for cut in [1, 2, 127].into_iter().filter(|&cut| cut <= len) {
+                    assert!(
+                        matches!(
+                            Packet::parse(&bytes[..bytes.len() - tail - cut]),
+                            Err(ParseError::Truncated { .. })
+                        ),
+                        "{op:?} len={len} cut={cut}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 // Byte offsets inside a deparsed UDP NetCache frame.
 const ETHERTYPE_OFF: usize = 12;
 const IP_VERSION_IHL_OFF: usize = 14;

@@ -6,7 +6,7 @@
 //! code.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use netcache_proto::{Key, Op, Packet, Value};
 use netcache_store::{ShardedStore, StoredItem};
@@ -106,6 +106,13 @@ impl KeyState {
         self.pending.is_some() || self.controller_locked
     }
 
+    /// Whether the write `(client ip, seq)` is waiting in the blocked queue.
+    fn holds_blocked(&self, id: (u32, u32)) -> bool {
+        self.blocked
+            .iter()
+            .any(|b| (b.ipv4.src, b.netcache.seq) == id)
+    }
+
     fn is_idle(&self) -> bool {
         self.pending.is_none() && self.blocked.is_empty() && !self.controller_locked
     }
@@ -176,12 +183,18 @@ impl Inner {
 /// The server agent: store + coherence state machine.
 ///
 /// Thread-safe; the store is sharded and the coherence state sits behind a
-/// single mutex (coherence traffic is rare compared to reads).
+/// single mutex (coherence traffic is rare compared to reads). A Get takes
+/// its store shard's lock and nothing else: the read counters are relaxed
+/// atomics (plain statistics, they publish no other data).
 #[derive(Debug)]
 pub struct ServerAgent {
     config: AgentConfig,
     store: ShardedStore,
     inner: Mutex<Inner>,
+    /// [`ServerStats::gets`], kept outside `inner` for the read path.
+    gets: AtomicU64,
+    /// [`ServerStats::not_found`], likewise.
+    not_found: AtomicU64,
     /// Cleared by [`kill`](Self::kill): a dead agent drops every packet
     /// and answers no fetches, exactly like an unplugged machine.
     alive: AtomicBool,
@@ -198,17 +211,26 @@ impl ServerAgent {
             store: ShardedStore::new(config.shards),
             config,
             inner: Mutex::new(Inner::default()),
+            gets: AtomicU64::new(0),
+            not_found: AtomicU64::new(0),
             alive: AtomicBool::new(true),
             needs_resync: AtomicBool::new(false),
         }
     }
 
     // ---- Failure lifecycle (chain replication / chaos harness) ----
+    //
+    // `alive` and `needs_resync` pair Release stores with Acquire loads.
+    // `revive` wipes the store, sets `needs_resync`, then sets `alive`; a
+    // packet thread whose Acquire load sees `alive` therefore also sees
+    // the wipe and the resync flag, and one whose Acquire load sees the
+    // flag cleared by `mark_resynced` sees everything the controller
+    // copied into the store before clearing it.
 
     /// Kills the agent: every subsequent packet is dropped and fetches
     /// return nothing, until [`revive`](Self::revive).
     pub fn kill(&self) {
-        self.alive.store(false, Ordering::SeqCst);
+        self.alive.store(false, Ordering::Release);
     }
 
     /// Restarts a killed agent with an empty store (a crashed machine does
@@ -223,23 +245,23 @@ impl ServerAgent {
             *inner = Inner::default();
             inner.stats = stats;
         }
-        self.needs_resync.store(true, Ordering::SeqCst);
-        self.alive.store(true, Ordering::SeqCst);
+        self.needs_resync.store(true, Ordering::Release);
+        self.alive.store(true, Ordering::Release);
     }
 
     /// Whether the agent is up (not killed).
     pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
+        self.alive.load(Ordering::Acquire)
     }
 
     /// Whether the agent is awaiting a state resync before serving.
     pub fn needs_resync(&self) -> bool {
-        self.needs_resync.load(Ordering::SeqCst)
+        self.needs_resync.load(Ordering::Acquire)
     }
 
     /// Marks the resync complete; the agent serves traffic again.
     pub fn mark_resynced(&self) {
-        self.needs_resync.store(false, Ordering::SeqCst);
+        self.needs_resync.store(false, Ordering::Release);
     }
 
     /// Whether the agent processes traffic (alive and synced).
@@ -249,7 +271,11 @@ impl ServerAgent {
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> ServerStats {
-        self.inner.lock().stats
+        ServerStats {
+            gets: self.gets.load(Ordering::Relaxed),
+            not_found: self.not_found.load(Ordering::Relaxed),
+            ..self.inner.lock().stats
+        }
     }
 
     /// Direct access to the backing store (loading datasets, assertions).
@@ -263,23 +289,33 @@ impl ServerAgent {
     }
 
     /// Handles one incoming packet at time `now_ns`, returning packets to
-    /// transmit (client replies and/or switch cache updates).
+    /// transmit (client replies and/or switch cache updates). Allocating
+    /// convenience over [`handle_packet_into`](Self::handle_packet_into).
     pub fn handle_packet(&self, pkt: Packet, now_ns: u64) -> Vec<Packet> {
+        let mut out = Vec::new();
+        self.handle_packet_into(pkt, now_ns, &mut out);
+        out
+    }
+
+    /// Handles one incoming packet at time `now_ns`, appending the packets
+    /// to transmit to `out`. Transport loops pass the same buffer for every
+    /// packet, so the steady state allocates nothing here.
+    pub fn handle_packet_into(&self, pkt: Packet, now_ns: u64, out: &mut Vec<Packet>) {
         if !self.is_serving() {
             // Dead or not-yet-resynced: the machine is effectively off the
             // network; packets to it simply vanish.
-            return Vec::new();
+            return;
         }
         match pkt.netcache.op {
-            Op::Get => self.handle_get(pkt),
-            Op::Put | Op::Delete => self.handle_write(pkt, /*cached=*/ false, now_ns),
+            Op::Get => self.handle_get(pkt, out),
+            Op::Put | Op::Delete => self.handle_write(pkt, /*cached=*/ false, now_ns, out),
             Op::PutCached | Op::DeleteCached => {
-                self.handle_write(pkt, /*cached=*/ true, now_ns)
+                self.handle_write(pkt, /*cached=*/ true, now_ns, out)
             }
-            Op::ChainPut | Op::ChainDelete => self.handle_chain(pkt, now_ns),
-            Op::CacheUpdateAck => self.handle_ack(pkt, now_ns),
+            Op::ChainPut | Op::ChainDelete => self.handle_chain(pkt, out),
+            Op::CacheUpdateAck => self.handle_ack(pkt, now_ns, out),
             // Anything else (replies, stray updates) is not for a server.
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
@@ -321,7 +357,7 @@ impl ServerAgent {
             if let Some(state) = inner.keys.get_mut(&key) {
                 state.pending = None;
             }
-            out.extend(self.release_blocked(&mut inner, key, now_ns));
+            self.release_blocked(&mut inner, key, now_ns, &mut out);
         }
         inner.stats.update_retries += retries;
         inner.stats.updates_abandoned += abandoned;
@@ -349,7 +385,8 @@ impl ServerAgent {
         if let Some(state) = inner.keys.get_mut(&key) {
             state.controller_locked = false;
         }
-        let out = self.release_blocked(&mut inner, key, now_ns);
+        let mut out = Vec::new();
+        self.release_blocked(&mut inner, key, now_ns, &mut out);
         Self::gc_key(&mut inner, &key);
         out
     }
@@ -377,70 +414,59 @@ impl ServerAgent {
 
     // ---- Query handlers ----
 
-    fn handle_get(&self, pkt: Packet) -> Vec<Packet> {
-        let key = pkt.netcache.key;
-        let (op, value) = match self.store.get(&key) {
-            Some(item) => (Op::GetReplyMiss, Some(item.value)),
-            None => (Op::GetReplyNotFound, None),
-        };
-        {
-            let mut inner = self.inner.lock();
-            inner.stats.gets += 1;
-            if op == Op::GetReplyNotFound {
-                inner.stats.not_found += 1;
+    fn handle_get(&self, mut pkt: Packet, out: &mut Vec<Packet>) {
+        match self.store.get(&pkt.netcache.key) {
+            Some(item) => pkt.make_reply(Op::GetReplyMiss, Some(item.value)),
+            None => {
+                self.not_found.fetch_add(1, Ordering::Relaxed);
+                pkt.make_reply(Op::GetReplyNotFound, None);
             }
         }
-        vec![pkt.into_reply(op, value)]
+        self.gets.fetch_add(1, Ordering::Relaxed);
+        out.push(pkt);
     }
 
-    fn handle_write(&self, pkt: Packet, cached: bool, now_ns: u64) -> Vec<Packet> {
+    /// Dedup check, blocked check and commit happen in one critical
+    /// section: between a check and a separately locked commit, a second
+    /// writer to the same cached key could pass the blocked check before
+    /// the first had set its pending update.
+    fn handle_write(&self, pkt: Packet, cached: bool, now_ns: u64, out: &mut Vec<Packet>) {
         let key = pkt.netcache.key;
-        let cached =
-            {
-                let mut inner = self.inner.lock();
-                if pkt.netcache.seq != 0 {
-                    let id = (pkt.ipv4.src, pkt.netcache.seq);
-                    // Retransmission of a committed write: resend its reply.
-                    if let Some(reply) = inner.recent_writes.get(&id) {
-                        let reply = reply.clone();
-                        inner.stats.dup_writes_ignored += 1;
-                        return vec![reply];
-                    }
-                    // Duplicate of a write already waiting in the blocked
-                    // queue: drop it (the queued original will answer).
-                    if inner.keys.get(&key).is_some_and(|s| {
-                        s.blocked.iter().any(|b| (b.ipv4.src, b.netcache.seq) == id)
-                    }) {
-                        inner.stats.dup_writes_ignored += 1;
-                        return Vec::new();
-                    }
-                }
-                let cached = cached || inner.cached_keys.contains(&key);
-                let state = inner.keys.entry(key).or_default();
-                if state.is_blocked() {
-                    // §4.3: serialize writes behind the in-flight cache update
-                    // or controller insertion.
-                    state.blocked.push_back(pkt);
-                    inner.stats.writes_blocked += 1;
-                    return Vec::new();
-                }
-                cached
-            };
-        self.commit_write(pkt, cached, now_ns)
-    }
-
-    /// Applies a write to the store and produces the reply (and, for cached
-    /// keys, the switch cache update).
-    fn commit_write(&self, pkt: Packet, cached: bool, now_ns: u64) -> Vec<Packet> {
+        let id = (pkt.ipv4.src, pkt.netcache.seq);
+        let sequenced = id.1 != 0;
         let mut inner = self.inner.lock();
-        self.commit_write_locked(&mut inner, pkt, cached, now_ns)
+        if sequenced {
+            // Retransmission of a committed write: resend its reply.
+            if let Some(reply) = inner.recent_writes.get(&id) {
+                out.push(reply.clone());
+                inner.stats.dup_writes_ignored += 1;
+                return;
+            }
+        }
+        if let Some(state) = inner.keys.get_mut(&key) {
+            // Duplicate of a write already waiting in the blocked
+            // queue: drop it (the queued original will answer).
+            if sequenced && state.holds_blocked(id) {
+                inner.stats.dup_writes_ignored += 1;
+                return;
+            }
+            if state.is_blocked() {
+                // §4.3: serialize writes behind the in-flight cache update
+                // or controller insertion.
+                state.blocked.push_back(pkt);
+                inner.stats.writes_blocked += 1;
+                return;
+            }
+        }
+        let cached = cached || inner.cached_keys.contains(&key);
+        self.commit_write_locked(&mut inner, pkt, cached, now_ns, out);
     }
 
-    fn handle_ack(&self, pkt: Packet, now_ns: u64) -> Vec<Packet> {
+    fn handle_ack(&self, pkt: Packet, now_ns: u64, out: &mut Vec<Packet>) {
         let key = pkt.netcache.key;
         let mut inner = self.inner.lock();
         let Some(state) = inner.keys.get_mut(&key) else {
-            return Vec::new();
+            return;
         };
         let matches = state
             .pending
@@ -449,20 +475,18 @@ impl ServerAgent {
         if !matches {
             // Stale ack (for an older retransmission); the current update
             // is still outstanding.
-            return Vec::new();
+            return;
         }
         state.pending = None;
         inner.stats.acks_matched += 1;
-        let out = self.release_blocked(&mut inner, key, now_ns);
+        self.release_blocked(&mut inner, key, now_ns, out);
         Self::gc_key(&mut inner, &key);
-        out
     }
 
     /// Releases the first blocked write for `key`, if the key is now
     /// unblocked. Called with the inner lock held; commits outside the
     /// lock via re-entry-safe structure.
-    fn release_blocked(&self, inner: &mut Inner, key: Key, now_ns: u64) -> Vec<Packet> {
-        let mut out = Vec::new();
+    fn release_blocked(&self, inner: &mut Inner, key: Key, now_ns: u64, out: &mut Vec<Packet>) {
         while let Some(state) = inner.keys.get_mut(&key) {
             if state.is_blocked() {
                 break;
@@ -474,7 +498,7 @@ impl ServerAgent {
                 // Chain writes never create a pending update, so keep
                 // draining — every queued forward must leave the node or
                 // its chain stalls forever.
-                out.extend(self.commit_chain_locked(inner, next));
+                self.commit_chain_locked(inner, next, out);
                 continue;
             }
             // A write can arrive *before* the key becomes cached (plain op)
@@ -482,11 +506,10 @@ impl ServerAgent {
             // the switch still gets its update.
             let cached = matches!(next.netcache.op, Op::PutCached | Op::DeleteCached)
                 || inner.cached_keys.contains(&key);
-            out.extend(self.commit_write_locked(inner, next, cached, now_ns));
+            self.commit_write_locked(inner, next, cached, now_ns, out);
             // Committing a cached put re-blocks the key behind its pending
             // cache update; the loop condition handles that.
         }
-        out
     }
 
     // ---- Chain replication (NetChain direction) ----
@@ -495,47 +518,46 @@ impl ServerAgent {
     /// replica chain, and every hop applies then re-emits the packet
     /// unchanged (the switch routes by ingress port, and converts the
     /// tail's re-emission into the client's reply).
-    fn handle_chain(&self, pkt: Packet, _now_ns: u64) -> Vec<Packet> {
+    fn handle_chain(&self, pkt: Packet, out: &mut Vec<Packet>) {
         let key = pkt.netcache.key;
+        let id = (pkt.ipv4.src, pkt.netcache.seq);
+        let sequenced = id.1 != 0;
         let mut inner = self.inner.lock();
-        if pkt.netcache.seq != 0 {
-            let id = (pkt.ipv4.src, pkt.netcache.seq);
+        if sequenced {
             // Duplicate of a write this node already processed: re-emit the
             // remembered *stamped forward*. At the head/mid that re-walks
             // the rest of the chain; at the tail the switch reconverts it
             // into the client reply. Either way the client's retry is
             // answered without reapplying.
             if let Some(fwd) = inner.recent_writes.get(&id) {
-                let fwd = fwd.clone();
+                out.push(fwd.clone());
                 inner.stats.dup_writes_ignored += 1;
                 inner.stats.chain_forwarded += 1;
-                return vec![fwd];
+                return;
             }
+        }
+        if let Some(state) = inner.keys.get_mut(&key) {
             // Duplicate of a forward still waiting in the blocked queue:
             // drop it, the queued original will travel when released.
-            if inner
-                .keys
-                .get(&key)
-                .is_some_and(|s| s.blocked.iter().any(|b| (b.ipv4.src, b.netcache.seq) == id))
-            {
+            if sequenced && state.holds_blocked(id) {
                 inner.stats.dup_writes_ignored += 1;
-                return Vec::new();
+                return;
+            }
+            if state.is_blocked() {
+                // Controller lock (cache insertion at this node): queue the
+                // forward; `release_blocked` drains it on unlock.
+                state.blocked.push_back(pkt);
+                inner.stats.writes_blocked += 1;
+                return;
             }
         }
-        if inner.keys.get(&key).is_some_and(KeyState::is_blocked) {
-            // Controller lock (cache insertion at this node): queue the
-            // forward; `release_blocked` drains it on unlock.
-            inner.keys.entry(key).or_default().blocked.push_back(pkt);
-            inner.stats.writes_blocked += 1;
-            return Vec::new();
-        }
-        self.commit_chain_locked(&mut inner, pkt)
+        self.commit_chain_locked(&mut inner, pkt, out);
     }
 
     /// The newest version this node has applied for `key`, across deletes
     /// (serial-number arithmetic, 0 = never written).
     fn last_applied_version(&self, inner: &Inner, key: &Key) -> u32 {
-        let stored = self.store.get(key).map_or(0, |i| i.version);
+        let stored = self.store.version_of(key).unwrap_or(0);
         let tomb = inner.applied_versions.get(key).copied().unwrap_or(0);
         match (stored, tomb) {
             (0, t) => t,
@@ -550,7 +572,7 @@ impl ServerAgent {
     /// `chain_version == 0`) assigns the version; replicas apply
     /// iff-newer, which makes duplicates and stale retransmissions
     /// harmless at every hop.
-    fn commit_chain_locked(&self, inner: &mut Inner, mut pkt: Packet) -> Vec<Packet> {
+    fn commit_chain_locked(&self, inner: &mut Inner, mut pkt: Packet, out: &mut Vec<Packet>) {
         let key = pkt.netcache.key;
         let last = self.last_applied_version(inner, &key);
         if pkt.netcache.chain_version == 0 {
@@ -563,11 +585,8 @@ impl ServerAgent {
                 self.store.delete(&key);
                 inner.stats.deletes += 1;
             } else {
-                let value = pkt
-                    .netcache
-                    .value
-                    .clone()
-                    .unwrap_or_else(|| Value::new(Vec::new()).expect("empty value is valid"));
+                let empty = Value::default();
+                let value = pkt.netcache.value.as_ref().unwrap_or(&empty);
                 self.store.put(key, value, version);
                 inner.stats.puts += 1;
             }
@@ -580,7 +599,7 @@ impl ServerAgent {
         inner.stats.chain_forwarded += 1;
         // Re-emit unchanged: dst stays the partition's static home IP and
         // src stays the client, so the tail's reply reaches the client.
-        vec![pkt]
+        out.push(pkt);
     }
 
     /// Commits a write with the inner lock already held.
@@ -594,34 +613,32 @@ impl ServerAgent {
     fn commit_write_locked(
         &self,
         inner: &mut Inner,
-        pkt: Packet,
+        mut pkt: Packet,
         cached: bool,
         now_ns: u64,
-    ) -> Vec<Packet> {
+        out: &mut Vec<Packet>,
+    ) {
         let key = pkt.netcache.key;
-        let is_delete = matches!(pkt.netcache.op, Op::Delete | Op::DeleteCached);
         let write_id = (pkt.ipv4.src, pkt.netcache.seq);
-        let next_version = self
-            .store
-            .get(&key)
-            .map_or(1, |i| i.version.wrapping_add(1).max(1));
-        let mut out = Vec::new();
-        if is_delete {
+        let reply_at = out.len();
+        if matches!(pkt.netcache.op, Op::Delete | Op::DeleteCached) {
             self.store.delete(&key);
             inner.stats.deletes += 1;
             // The switch entry (if any) was invalidated by the switch and
             // stays invalid; the controller will evict it. No cache update
             // is sent for deletes — there is no value to push.
-            out.push(pkt.into_reply(Op::DeleteReply, None));
+            pkt.make_reply(Op::DeleteReply, None);
+            out.push(pkt);
         } else {
-            let value = pkt
-                .netcache
-                .value
-                .clone()
-                .unwrap_or_else(|| Value::new(Vec::new()).expect("empty value is valid"));
-            self.store.put(key, value.clone(), next_version);
+            let next_version = self
+                .store
+                .version_of(&key)
+                .map_or(1, |v| v.wrapping_add(1).max(1));
+            let value = pkt.netcache.value.take().unwrap_or_default();
+            self.store.put(key, &value, next_version);
             inner.stats.puts += 1;
-            out.push(pkt.into_reply(Op::PutReply, None));
+            pkt.make_reply(Op::PutReply, None);
+            out.push(pkt);
             if cached && self.config.dataplane_updates {
                 let state = inner.keys.entry(key).or_default();
                 state.pending = Some(PendingUpdate {
@@ -641,9 +658,8 @@ impl ServerAgent {
             }
         }
         if write_id.1 != 0 {
-            inner.remember_write(write_id, out[0].clone());
+            inner.remember_write(write_id, out[reply_at].clone());
         }
-        out
     }
 
     /// Drops empty per-key coherence state to keep the map bounded.
@@ -908,6 +924,63 @@ mod tests {
         assert!(a.handle_packet(p, 2).is_empty());
         assert_eq!(a.stats().dup_writes_ignored, 1);
         assert_eq!(a.stats().writes_blocked, 1, "only queued once");
+    }
+
+    #[test]
+    fn sink_appends_and_remembers_the_right_reply() {
+        // Drivers hand the agent one buffer for many packets; outputs are
+        // appended after whatever is already there, and the reply stored
+        // for dedup is this write's, not the buffer's first packet.
+        let a = agent();
+        let mut out = Vec::new();
+        for (key, seq) in [(1u64, 7u32), (2, 8)] {
+            let mut p = put(key, 1);
+            p.netcache.seq = seq;
+            a.handle_packet_into(p, 0, &mut out);
+        }
+        assert_eq!(out.len(), 2);
+        let mut dup = put(2, 1);
+        dup.netcache.seq = 8;
+        a.handle_packet_into(dup, 1, &mut out);
+        assert_eq!(out.len(), 3);
+        assert_eq!(out[2], out[1], "key 2's stored reply, resent");
+        assert_eq!(out[2].netcache.key, Key::from_u64(2));
+    }
+
+    #[test]
+    fn uncached_writes_leave_no_coherence_state() {
+        let a = agent();
+        for key in 0..100 {
+            a.handle_packet(put(key, 1), 0);
+        }
+        assert!(a.inner.lock().keys.is_empty());
+        // A cached write holds state only until its update is acked.
+        let out = a.handle_packet(put_cached(1, 2), 1);
+        assert_eq!(a.inner.lock().keys.len(), 1);
+        a.handle_packet(ack_for(&out[1]), 2);
+        assert!(a.inner.lock().keys.is_empty());
+    }
+
+    #[test]
+    fn racing_writers_to_a_cached_key_commit_exactly_one() {
+        // Blocked check and commit share one critical section: of two
+        // writers released together onto an idle cached key, one commits
+        // and sets the pending update, the other must queue behind it.
+        for _ in 0..200 {
+            let a = agent();
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for fill in [1, 2] {
+                    let (a, start) = (&a, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        a.handle_packet(put_cached(1, fill), 0);
+                    });
+                }
+            });
+            let stats = a.stats();
+            assert_eq!((stats.puts, stats.writes_blocked), (1, 1));
+        }
     }
 
     #[test]

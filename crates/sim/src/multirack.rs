@@ -766,33 +766,32 @@ impl MultiRack {
             st.spine_window[s] += 1;
         }
         st.spine_loads[s] += 1;
-        let outs = st.spines[s]
+        let out = st.spines[s]
             .switch
             .process(pkt, (self.config.racks + j) as PortId);
-        let mut replies = Vec::new();
-        for (port, mut out) in outs {
-            if (port as u32) < self.config.racks {
-                // Forwarded down to a leaf rack. The spine already
-                // invalidated its own copy and rewrote the op to the
-                // cached-write marker; the leaf must see the plain client
-                // op so *its* copy is invalidated and its own §4.3 update
-                // dance runs (the spine copy is repaired write-around by
-                // the spine controller instead).
-                match out.netcache.op {
-                    Op::PutCached => out.netcache.op = Op::Put,
-                    Op::DeleteCached => out.netcache.op = Op::Delete,
-                    _ => {}
-                }
-                replies.extend(self.deliver_to_rack(&mut st, port as u32, out, j));
-            } else {
-                // Uplink: served by the spine cache.
-                if out.netcache.op == Op::GetReplyHit {
-                    st.spine_hits += 1;
-                }
-                replies.push(out);
+        let Some((port, mut out)) = out else {
+            return Vec::new();
+        };
+        if (port as u32) < self.config.racks {
+            // Forwarded down to a leaf rack. The spine already
+            // invalidated its own copy and rewrote the op to the
+            // cached-write marker; the leaf must see the plain client
+            // op so *its* copy is invalidated and its own §4.3 update
+            // dance runs (the spine copy is repaired write-around by
+            // the spine controller instead).
+            match out.netcache.op {
+                Op::PutCached => out.netcache.op = Op::Put,
+                Op::DeleteCached => out.netcache.op = Op::Delete,
+                _ => {}
             }
+            self.deliver_to_rack(&mut st, port as u32, out, j)
+        } else {
+            // Uplink: served by the spine cache.
+            if out.netcache.op == Op::GetReplyHit {
+                st.spine_hits += 1;
+            }
+            vec![out]
         }
-        replies
     }
 
     /// Delivers one query into leaf rack `r` (the ToR crossing): rewrites

@@ -310,6 +310,9 @@ pub struct SimReport {
     pub size_classes: Vec<ClassStats>,
 }
 
+// The packet-carrying variant is scheduled once per server visit; boxing
+// it to even out the variants would put an allocation back on each one.
+#[allow(clippy::large_enum_variant)]
 enum Event {
     /// The client emits its next query.
     ClientSend,
@@ -405,6 +408,8 @@ pub struct RackSim {
     // the client are also captured whole for decoding.
     capture_replies: bool,
     script_replies: Vec<Packet>,
+    /// The server agents' output buffer, reused across packets.
+    server_out: Vec<Packet>,
     rng: StdRng,
     faults: NetworkModel,
     queue: EventQueue<Event>,
@@ -533,6 +538,7 @@ impl RackSim {
             client_port,
             capture_replies: false,
             script_replies: Vec::new(),
+            server_out: Vec::new(),
             queue: EventQueue::new(),
             rate,
             server_free_at: vec![0; config.servers as usize],
@@ -616,8 +622,8 @@ impl RackSim {
         let seq = pkt.netcache.seq;
         self.script_replies.clear();
         let now = self.queue.now();
-        let (switch_ns, outs) = self.switch_process(pkt, self.client_port);
-        self.dispatch(now + self.config.latency.hop_ns + switch_ns, outs);
+        let (switch_ns, out) = self.switch_process(pkt, self.client_port);
+        self.dispatch(now + self.config.latency.hop_ns + switch_ns, out);
         self.drain();
         let reply = self.script_replies.iter().find(|p| p.netcache.seq == seq)?;
         Response::from_packet(reply)
@@ -628,13 +634,13 @@ impl RackSim {
     /// occupies: a recirculated multi-pass entry holds the pipeline for
     /// proportionally longer in the event queue, so large cached values
     /// are not simulated as free.
-    fn switch_process(&mut self, pkt: Packet, port: PortId) -> (u64, Vec<(PortId, Packet)>) {
+    fn switch_process(&mut self, pkt: Packet, port: PortId) -> (u64, Option<(PortId, Packet)>) {
         let key = pkt.netcache.key;
-        let (passes, outs) = self.rack.with_switch(|sw| {
+        let (passes, out) = self.rack.with_switch(|sw| {
             let passes = sw.passes_for(&key);
             (passes, sw.process(pkt, port))
         });
-        (self.config.latency.switch_ns * u64::from(passes), outs)
+        (self.config.latency.switch_ns * u64::from(passes), out)
     }
 
     /// Runs the event queue dry (scripted mode only: no periodic events
@@ -709,8 +715,8 @@ impl RackSim {
 
     /// Injects one client packet at the switch.
     fn send_packet(&mut self, now: u64, pkt: Packet) {
-        let (switch_ns, outs) = self.switch_process(pkt, self.client_port);
-        self.dispatch(now + self.config.latency.hop_ns + switch_ns, outs);
+        let (switch_ns, out) = self.switch_process(pkt, self.client_port);
+        self.dispatch(now + self.config.latency.hop_ns + switch_ns, out);
     }
 
     fn on_client_send(&mut self, now: u64) {
@@ -794,35 +800,36 @@ impl RackSim {
             .collect()
     }
 
-    /// Routes switch outputs to their attached nodes with latency, applying
-    /// the fault model per link crossing.
-    fn dispatch(&mut self, now: u64, outs: Vec<(PortId, Packet)>) {
-        for (port, pkt) in outs {
-            match self.rack.addressing().attachment(port) {
-                Attachment::Client(_) => {
-                    for (at, pkt) in self.link(pkt, now) {
-                        let from_cache = pkt.netcache.op == Op::GetReplyHit;
-                        let not_found = pkt.netcache.op == Op::GetReplyNotFound;
-                        self.queue.schedule(
-                            at + self.config.latency.hop_ns,
-                            Event::ClientRecv {
-                                seq: pkt.netcache.seq,
-                                from_cache,
-                                not_found,
-                            },
-                        );
-                        if self.capture_replies {
-                            self.script_replies.push(pkt);
-                        }
+    /// Routes the switch's output to its attached node with latency,
+    /// applying the fault model per link crossing.
+    fn dispatch(&mut self, now: u64, out: Option<(PortId, Packet)>) {
+        let Some((port, pkt)) = out else {
+            return;
+        };
+        match self.rack.addressing().attachment(port) {
+            Attachment::Client(_) => {
+                for (at, pkt) in self.link(pkt, now) {
+                    let from_cache = pkt.netcache.op == Op::GetReplyHit;
+                    let not_found = pkt.netcache.op == Op::GetReplyNotFound;
+                    self.queue.schedule(
+                        at + self.config.latency.hop_ns,
+                        Event::ClientRecv {
+                            seq: pkt.netcache.seq,
+                            from_cache,
+                            not_found,
+                        },
+                    );
+                    if self.capture_replies {
+                        self.script_replies.push(pkt);
                     }
                 }
-                Attachment::Server(i) => {
-                    for (at, pkt) in self.link(pkt, now) {
-                        self.deliver_to_server(at, i, pkt);
-                    }
-                }
-                Attachment::Unused => {}
             }
+            Attachment::Server(i) => {
+                for (at, pkt) in self.link(pkt, now) {
+                    self.deliver_to_server(at, i, pkt);
+                }
+            }
+            Attachment::Unused => {}
         }
     }
 
@@ -863,22 +870,32 @@ impl RackSim {
             }
             // Acks and stray packets are handled by the shim's I/O path
             // without consuming KV service capacity.
-            _ => {
-                let outs = self.rack.server(server).handle_packet(pkt, arrival);
-                self.forward_from_server(arrival, server, outs);
-            }
+            _ => self.serve(arrival, server, pkt),
         }
     }
 
-    fn forward_from_server(&mut self, now: u64, server: u32, outs: Vec<Packet>) {
+    /// Hands `pkt` to server `server`'s agent and forwards what it emits.
+    /// The agent writes into one buffer reused across packets.
+    fn serve(&mut self, now: u64, server: u32, pkt: Packet) {
+        let mut outs = std::mem::take(&mut self.server_out);
+        self.rack
+            .server(server)
+            .handle_packet_into(pkt, now, &mut outs);
+        self.forward_from_server(now, server, &mut outs);
+        self.server_out = outs;
+    }
+
+    /// Drains `outs`, the packets server `server` emitted at `now`, into
+    /// the switch.
+    fn forward_from_server(&mut self, now: u64, server: u32, outs: &mut Vec<Packet>) {
         let port = self.rack.addressing().server_port(server);
-        for pkt in outs {
+        for pkt in outs.drain(..) {
             // Server → switch is a link crossing of its own; copies that
             // survive it traverse the switch at their (possibly delayed)
             // arrival time.
             for (at, pkt) in self.link(pkt, now) {
-                let (switch_ns, outs) = self.switch_process(pkt, port);
-                self.dispatch(at + self.config.latency.hop_ns + switch_ns, outs);
+                let (switch_ns, out) = self.switch_process(pkt, port);
+                self.dispatch(at + self.config.latency.hop_ns + switch_ns, out);
             }
         }
     }
@@ -889,8 +906,7 @@ impl RackSim {
         if self.measuring(now) {
             self.server_served[s] += 1;
         }
-        let outs = self.rack.server(server).handle_packet(pkt, now);
-        self.forward_from_server(now, server, outs);
+        self.serve(now, server, pkt);
     }
 
     fn on_client_recv(&mut self, now: u64, seq: u32, from_cache: bool, not_found: bool) {
@@ -1010,7 +1026,7 @@ impl RackSim {
         let released = self.rack.fabric().run_controller_cycle(now);
         for (port, pkt) in released {
             if let Attachment::Server(i) = self.rack.addressing().attachment(port) {
-                self.forward_from_server(now, i, vec![pkt]);
+                self.forward_from_server(now, i, &mut vec![pkt]);
             }
         }
     }
@@ -1022,9 +1038,9 @@ impl RackSim {
 
     fn tick_agents(&mut self, now: u64) {
         for i in 0..self.config.servers {
-            let outs = self.rack.server(i).tick(now);
+            let mut outs = self.rack.server(i).tick(now);
             if !outs.is_empty() {
-                self.forward_from_server(now, i, outs);
+                self.forward_from_server(now, i, &mut outs);
             }
         }
     }

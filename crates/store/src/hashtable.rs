@@ -62,10 +62,10 @@ impl<V> ChainedHashTable<V> {
         self.buckets.len()
     }
 
-    fn hash(&self, key: &Key) -> u64 {
+    fn hash(seed: u64, key: &Key) -> u64 {
         // xxhash-style avalanche over the two 8-byte halves of the key.
         let b = key.as_bytes();
-        let mut h = self.seed ^ 0x51_7c_c1_b7_27_22_0a_95;
+        let mut h = seed ^ 0x51_7c_c1_b7_27_22_0a_95;
         for half in [&b[..8], &b[8..]] {
             let mut lane = [0u8; 8];
             lane.copy_from_slice(half);
@@ -79,33 +79,25 @@ impl<V> ChainedHashTable<V> {
     }
 
     fn bucket_of(&self, key: &Key) -> usize {
-        (self.hash(key) % self.buckets.len() as u64) as usize
+        (Self::hash(self.seed, key) % self.buckets.len() as u64) as usize
     }
 
-    fn grow_if_needed(&mut self) {
-        if self.len * MAX_LOAD_DEN <= self.buckets.len() * MAX_LOAD_NUM {
+    /// Grows the table, in one rehash, to the bucket count that inserting
+    /// up to `len` items one by one would have reached — the same layout
+    /// and memory as organic growth, without the intermediate doublings.
+    /// Bulk loaders call this with the final item count up front.
+    pub fn reserve(&mut self, len: usize) {
+        let mut count = self.buckets.len();
+        while len * MAX_LOAD_DEN > count * MAX_LOAD_NUM {
+            count *= 2;
+        }
+        if count == self.buckets.len() {
             return;
         }
-        let new_count = self.buckets.len() * 2;
-        let mut new_buckets: Vec<Vec<(Key, V)>> = (0..new_count).map(|_| Vec::new()).collect();
-        for bucket in self.buckets.drain(..) {
-            for (key, value) in bucket {
-                let h = {
-                    // Inline the hash since `self.buckets` is drained.
-                    let b = key.as_bytes();
-                    let mut h = self.seed ^ 0x51_7c_c1_b7_27_22_0a_95;
-                    for half in [&b[..8], &b[8..]] {
-                        let mut lane = [0u8; 8];
-                        lane.copy_from_slice(half);
-                        let mut v = u64::from_le_bytes(lane);
-                        v = v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                        v ^= v >> 29;
-                        h = (h ^ v).wrapping_mul(0xff51_afd7_ed55_8ccd);
-                    }
-                    h ^ (h >> 33)
-                };
-                new_buckets[(h % new_count as u64) as usize].push((key, value));
-            }
+        let mut new_buckets: Vec<Vec<(Key, V)>> = (0..count).map(|_| Vec::new()).collect();
+        for (key, value) in self.buckets.drain(..).flatten() {
+            let idx = (Self::hash(self.seed, &key) % count as u64) as usize;
+            new_buckets[idx].push((key, value));
         }
         self.buckets = new_buckets;
     }
@@ -120,7 +112,7 @@ impl<V> ChainedHashTable<V> {
         }
         self.buckets[idx].push((key, value));
         self.len += 1;
-        self.grow_if_needed();
+        self.reserve(self.len);
         None
     }
 
@@ -200,6 +192,25 @@ mod tests {
         assert_eq!(t.len(), n as usize);
         for i in 0..n {
             assert_eq!(t.get(&Key::from_u64(i)), Some(&(i * 2)), "key {i}");
+        }
+    }
+
+    #[test]
+    fn reserve_matches_organic_growth() {
+        for n in [0usize, 1, 12, 13, 100, 12_500] {
+            let mut organic = ChainedHashTable::new();
+            let mut reserved = ChainedHashTable::new();
+            reserved.reserve(n);
+            let before = reserved.bucket_count();
+            for i in 0..n as u64 {
+                organic.insert(Key::from_u64(i), i);
+                reserved.insert(Key::from_u64(i), i);
+            }
+            assert_eq!(reserved.bucket_count(), before, "n={n}: no further growth");
+            assert_eq!(reserved.bucket_count(), organic.bucket_count(), "n={n}");
+            for i in 0..n as u64 {
+                assert_eq!(reserved.get(&Key::from_u64(i)), Some(&i), "n={n} key {i}");
+            }
         }
     }
 

@@ -5,19 +5,41 @@
 //! [`ShardedStore`] splits the key space across `shards` independently
 //! locked hash tables, hashed the way an RSS NIC would spread flows.
 
+use core::borrow::Borrow;
+
 use netcache_proto::{Key, Value};
 use parking_lot::Mutex;
 
 use crate::hashtable::ChainedHashTable;
 
 /// A stored item: the value plus its version (the SEQ of the write that
-/// produced it, used by the coherence protocol).
+/// produced it, used by the coherence protocol). This is what reads hand
+/// out; at rest the store keeps a compact form (exactly the bytes, boxed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredItem {
     /// The value bytes.
     pub value: Value,
     /// Version of the last applied write.
     pub version: u32,
+}
+
+/// An item at rest: exactly its bytes on the heap, no inline buffer. A
+/// [`Value`] reserves a whole pipeline pass inline, which is right for a
+/// packet in flight and wrong for 100 k bucket entries; a `Value` is
+/// materialized only on [`ShardedStore::get`].
+#[derive(Debug)]
+struct Stored {
+    bytes: Box<[u8]>,
+    version: u32,
+}
+
+impl Stored {
+    fn item(&self) -> StoredItem {
+        StoredItem {
+            value: Value::from_slice(&self.bytes).expect("stored from a bounded Value"),
+            version: self.version,
+        }
+    }
 }
 
 /// A sharded, thread-safe key-value store.
@@ -34,7 +56,7 @@ pub struct StoredItem {
 /// ```
 #[derive(Debug)]
 pub struct ShardedStore {
-    shards: Vec<Mutex<ChainedHashTable<StoredItem>>>,
+    shards: Vec<Mutex<ChainedHashTable<Stored>>>,
 }
 
 impl ShardedStore {
@@ -73,21 +95,67 @@ impl ShardedStore {
         ((u128::from(h) * self.shards.len() as u128) >> 64) as usize
     }
 
+    /// Sizes the shards for a bulk load of `per_shard[i]` items into shard
+    /// `i` (by [`ShardedStore::shard_of`]), so the load does not rehash its
+    /// way up (see [`ChainedHashTable::reserve`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_shard` does not have one count per shard.
+    pub fn reserve(&self, per_shard: &[usize]) {
+        assert_eq!(per_shard.len(), self.shards.len(), "one count per shard");
+        for (shard, &items) in self.shards.iter().zip(per_shard) {
+            let mut shard = shard.lock();
+            let total = shard.len() + items;
+            shard.reserve(total);
+        }
+    }
+
     /// Reads the item for `key`.
     pub fn get(&self, key: &Key) -> Option<StoredItem> {
-        self.shards[self.shard_of(key)].lock().get(key).cloned()
-    }
-
-    /// Writes `value` with `version`, returning the previous item.
-    pub fn put(&self, key: Key, value: Value, version: u32) -> Option<StoredItem> {
-        self.shards[self.shard_of(&key)]
+        self.shards[self.shard_of(key)]
             .lock()
-            .insert(key, StoredItem { value, version })
+            .get(key)
+            .map(Stored::item)
     }
 
-    /// Deletes `key`, returning the removed item.
-    pub fn delete(&self, key: &Key) -> Option<StoredItem> {
-        self.shards[self.shard_of(key)].lock().remove(key)
+    /// The version of the item stored for `key`, without copying its value.
+    pub fn version_of(&self, key: &Key) -> Option<u32> {
+        self.shards[self.shard_of(key)]
+            .lock()
+            .get(key)
+            .map(|item| item.version)
+    }
+
+    /// Writes `value` (owned or borrowed) with `version`, returning the
+    /// version it replaced. A value of the stored length overwrites the
+    /// item's bytes in place.
+    pub fn put(&self, key: Key, value: impl Borrow<Value>, version: u32) -> Option<u32> {
+        let bytes = value.borrow().as_bytes();
+        let mut shard = self.shards[self.shard_of(&key)].lock();
+        match shard.get_mut(&key) {
+            Some(item) => {
+                if item.bytes.len() == bytes.len() {
+                    item.bytes.copy_from_slice(bytes);
+                } else {
+                    item.bytes = bytes.into();
+                }
+                Some(core::mem::replace(&mut item.version, version))
+            }
+            None => {
+                let bytes = bytes.into();
+                shard.insert(key, Stored { bytes, version });
+                None
+            }
+        }
+    }
+
+    /// Deletes `key`, returning the removed item's version.
+    pub fn delete(&self, key: &Key) -> Option<u32> {
+        self.shards[self.shard_of(key)]
+            .lock()
+            .remove(key)
+            .map(|item| item.version)
     }
 
     /// Total item count across shards.
@@ -111,10 +179,10 @@ impl ShardedStore {
     /// Visits every stored `(key, item)` pair, shard by shard. Order is
     /// arbitrary; each shard's lock is held only while that shard is
     /// visited, so `f` must not re-enter the store.
-    pub fn for_each(&self, mut f: impl FnMut(&Key, &StoredItem)) {
+    pub fn for_each(&self, mut f: impl FnMut(&Key, StoredItem)) {
         for shard in &self.shards {
             for (k, v) in shard.lock().iter() {
-                f(k, v);
+                f(k, v.item());
             }
         }
     }
@@ -132,10 +200,36 @@ mod tests {
         let item = s.get(&Key::from_u64(1)).unwrap();
         assert_eq!(item.value, Value::filled(1, 16));
         assert_eq!(item.version, 1);
-        let old = s.put(Key::from_u64(1), Value::filled(2, 16), 2).unwrap();
-        assert_eq!(old.version, 1);
-        assert_eq!(s.delete(&Key::from_u64(1)).unwrap().version, 2);
+        assert_eq!(s.version_of(&Key::from_u64(1)), Some(1));
+        assert_eq!(s.put(Key::from_u64(1), Value::filled(2, 16), 2), Some(1));
+        assert_eq!(s.delete(&Key::from_u64(1)), Some(2));
         assert!(s.get(&Key::from_u64(1)).is_none());
+        assert_eq!(s.version_of(&Key::from_u64(1)), None);
+    }
+
+    #[test]
+    fn overwrites_of_any_length_read_back() {
+        // Same length (in place) and different length (reallocated), on
+        // both sides of the inline boundary, owned and borrowed.
+        let s = ShardedStore::new(1);
+        let key = Key::from_u64(7);
+        for (version, len) in [64usize, 64, 128, 129, 129, 2048, 0, 1]
+            .into_iter()
+            .enumerate()
+        {
+            let value = Value::for_item(version as u64, len);
+            s.put(key, &value, version as u32 + 1);
+            let item = s.get(&key).unwrap();
+            assert_eq!((item.value, item.version), (value, version as u32 + 1));
+        }
+        assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn bucket_entry_stays_compact() {
+        // The store must not embed the packet path's inline buffer: 100 k
+        // entries of it would double the rack's resident memory.
+        assert!(core::mem::size_of::<(Key, Stored)>() <= 48);
     }
 
     #[test]
