@@ -88,31 +88,21 @@ impl Response {
     /// Decodes a reply packet, or `None` if the packet is not a reply the
     /// client understands.
     pub fn from_packet(pkt: &Packet) -> Option<Response> {
-        let hdr = &pkt.netcache;
-        Self::decode(hdr.op, hdr.key, || hdr.value.clone())
-    }
-
-    /// [`Response::from_packet`] for a packet the caller is done with: the
-    /// value moves out of it instead of being copied.
-    pub fn from_owned(pkt: Packet) -> Option<Response> {
-        let hdr = pkt.netcache;
-        Self::decode(hdr.op, hdr.key, || hdr.value)
-    }
-
-    fn decode(op: Op, key: Key, value: impl FnOnce() -> Option<Value>) -> Option<Response> {
-        let read = |from_cache| match value() {
-            Some(value) => Some(Response::Value {
+        let key = pkt.netcache.key;
+        match pkt.netcache.op {
+            Op::GetReplyHit => Some(Response::Value {
                 key,
-                value,
-                from_cache,
+                value: pkt.netcache.value.clone()?,
+                from_cache: true,
             }),
-            // A hit always carries its value; a miss without one is the
-            // server's "no such key".
-            None => (!from_cache).then_some(Response::NotFound { key }),
-        };
-        match op {
-            Op::GetReplyHit => read(true),
-            Op::GetReplyMiss => read(false),
+            Op::GetReplyMiss => match &pkt.netcache.value {
+                Some(value) => Some(Response::Value {
+                    key,
+                    value: value.clone(),
+                    from_cache: false,
+                }),
+                None => Some(Response::NotFound { key }),
+            },
             Op::GetReplyNotFound => Some(Response::NotFound { key }),
             Op::PutReply => Some(Response::PutAck { key }),
             Op::DeleteReply => Some(Response::DeleteAck { key }),
@@ -287,25 +277,6 @@ mod tests {
         ));
         let nf = query.into_reply(Op::GetReplyNotFound, None);
         assert_eq!(c.decode(&nf), Some(Response::NotFound { key }));
-    }
-
-    #[test]
-    fn owned_and_borrowed_decoding_agree() {
-        let mut c = client(1);
-        let query = c.get(Key::from_u64(5));
-        for (op, value) in [
-            (Op::GetReplyHit, Some(Value::filled(1, 16))),
-            (Op::GetReplyHit, None),
-            (Op::GetReplyMiss, Some(Value::for_item(2, 300))),
-            (Op::GetReplyMiss, None),
-            (Op::GetReplyNotFound, None),
-            (Op::PutReply, None),
-            (Op::DeleteReply, None),
-            (Op::CacheUpdateAck, None),
-        ] {
-            let reply = query.clone().into_reply(op, value);
-            assert_eq!(Response::from_packet(&reply), Response::from_owned(reply));
-        }
     }
 
     #[test]

@@ -274,7 +274,6 @@ impl FabricCore {
     /// key, continuations under derived chunk keys), exactly as
     /// [`crate::fabric::LargeValueOps::put_large`] would write them.
     pub fn load_dataset_with(&self, num_keys: u64, len_of: impl Fn(u64) -> usize) {
-        use netcache_client::chunked;
         let factor = self.config.replication_factor.max(1);
         let replicas = |key: &Key| {
             self.addressing
@@ -288,40 +287,23 @@ impl FabricCore {
             .map(|s| vec![0; s.store().shard_count()])
             .collect();
         for id in 0..num_keys {
-            let (base, len) = (Key::from_u64(id), len_of(id));
-            let chunks = if len <= netcache_proto::MAX_VALUE_LEN {
-                1
-            } else {
-                chunked::chunk_count(len)
-            };
-            for key in (0..chunks).map(|index| chunked::chunk_key(base, index)) {
+            dataset_items(id, len_of(id), false, |key, _| {
                 for server in replicas(&key) {
                     let store = self.servers[server as usize].store();
                     expected[server as usize][store.shard_of(&key)] += 1;
                 }
-            }
+            });
         }
         for (server, per_shard) in self.servers.iter().zip(&expected) {
             server.store().reserve(per_shard);
         }
-        let store_at = |key: Key, value: Value| {
-            for server in replicas(&key) {
-                self.servers[server as usize].store().put(key, &value, 1);
-            }
-        };
         for id in 0..num_keys {
-            let base = Key::from_u64(id);
-            let len = len_of(id);
-            if len <= netcache_proto::MAX_VALUE_LEN {
-                store_at(base, Value::for_item(id, len));
-            } else {
-                let payload = netcache_proto::item_bytes(id, len);
-                let chunks =
-                    chunked::split(&payload).expect("dataset payload within the chunking cap");
-                for (index, value) in chunks {
-                    store_at(chunked::chunk_key(base, index), value);
+            dataset_items(id, len_of(id), true, |key, value| {
+                let value = value.expect("walked with values");
+                for server in replicas(&key) {
+                    self.servers[server as usize].store().put(key, &value, 1);
                 }
-            }
+            });
         }
     }
 
@@ -448,6 +430,30 @@ impl FabricCore {
     }
 }
 
+/// Visits the items dataset id `id` is stored as at logical length `len`:
+/// one plain item under the base key up to [`netcache_proto::MAX_VALUE_LEN`],
+/// the §2 chunked layout (continuation chunks first) beyond it. This is the
+/// one statement of that layout; [`FabricCore::load_dataset_with`] walks it
+/// once for the keys alone (`with_values` false: no payload is generated
+/// and `f` sees `None`) and once to store.
+fn dataset_items(id: u64, len: usize, with_values: bool, mut f: impl FnMut(Key, Option<Value>)) {
+    use netcache_client::chunked;
+    let base = Key::from_u64(id);
+    if len <= netcache_proto::MAX_VALUE_LEN {
+        f(base, with_values.then(|| Value::for_item(id, len)));
+    } else if with_values {
+        let payload = netcache_proto::item_bytes(id, len);
+        let chunks = chunked::split(&payload).expect("dataset payload within the chunking cap");
+        for (index, value) in chunks {
+            f(chunked::chunk_key(base, index), Some(value));
+        }
+    } else {
+        for index in (0..chunked::chunk_count(len)).rev() {
+            f(chunked::chunk_key(base, index), None);
+        }
+    }
+}
+
 impl core::fmt::Debug for FabricCore {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("FabricCore")
@@ -504,11 +510,14 @@ impl ServerBackend for AgentBackend<'_> {
 
     fn resync(&mut self, from: u32, to: u32, partition: u32) -> usize {
         let mut items = Vec::new();
-        self.servers[from as usize].store().for_each(|key, item| {
-            if self.addressing.partition_of(key) == partition {
-                items.push((*key, item.value, item.version));
-            }
-        });
+        self.servers[from as usize]
+            .store()
+            .for_each(|key, bytes, version| {
+                if self.addressing.partition_of(key) == partition {
+                    let value = Value::from_slice(bytes).expect("stored from a bounded Value");
+                    items.push((*key, value, version));
+                }
+            });
         let dst = self.servers[to as usize].store();
         let copied = items.len();
         for (key, value, version) in items {
@@ -537,6 +546,22 @@ mod tests {
             let key = Key::from_u64(id);
             let home = core.addressing().home_of(&key);
             assert!(core.server(home.server).fetch(&key).is_some(), "key {id}");
+        }
+    }
+
+    #[test]
+    fn dataset_key_walk_matches_value_walk() {
+        for len in [0, 64, 2048, 2049, 2 * 2048 - 4, 2 * 2048 - 3, 5000] {
+            let (mut keys, mut stored) = (Vec::new(), Vec::new());
+            dataset_items(9, len, false, |key, value| {
+                assert!(value.is_none());
+                keys.push(key);
+            });
+            dataset_items(9, len, true, |key, value| {
+                assert!(value.is_some());
+                stored.push(key);
+            });
+            assert_eq!(keys, stored, "len {len}");
         }
     }
 

@@ -309,7 +309,7 @@ impl RequestEngine<'_> {
                 self.counters.stale_replies.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            found = Response::from_owned(pkt).map(ClientResponse::new);
+            found = Response::from_packet(&pkt).map(ClientResponse::new);
         }
         found
     }

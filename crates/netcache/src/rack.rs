@@ -66,33 +66,57 @@ enum Hop {
     Client { index: u32, pkt: Packet },
 }
 
-/// Min-queue of scheduled deliveries, earliest first; equal delivery times
-/// pop in push order, which preserves the pre-heap linear scan's "first
-/// pushed wins" semantics and keeps seeded runs byte-identical.
-///
-/// The heap orders 16-byte `(at, slot)` keys. The hops — a whole [`Packet`]
-/// each — are written to `hops` once and sit still until popped, instead
-/// of being swapped through the heap's sift at every push and pop. Slots
-/// are handed out in push order, so the slot doubles as the tiebreak.
+/// One scheduled delivery in the forwarding loop's event queue.
+struct Event {
+    at: u64,
+    /// Push order, used as the tiebreak for equal delivery times so the
+    /// heap preserves the pre-heap linear scan's "first pushed wins"
+    /// semantics and seeded runs stay byte-identical.
+    seq: u64,
+    hop: Hop,
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl Eq for Event {}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Event {
+    /// `BinaryHeap` is a max-heap: the *earliest* `(at, seq)` must compare
+    /// greatest so `pop` yields deliveries in time order.
+    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
+        Reverse((self.at, self.seq)).cmp(&Reverse((other.at, other.seq)))
+    }
+}
+
+/// Min-heap of scheduled deliveries with a stable insertion-order tiebreak.
+/// Replaces the O(n²) `Vec` + linear-scan-and-remove selection. The
+/// forwarding loop pops it empty, so a reused queue keeps its capacity and
+/// nothing else (`next_seq` only ever orders events queued together).
 #[derive(Default)]
 struct EventQueue {
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    hops: Vec<Option<Hop>>,
+    heap: BinaryHeap<Event>,
+    next_seq: u64,
 }
 
 impl EventQueue {
     fn push(&mut self, at: u64, hop: Hop) {
-        self.heap.push(Reverse((at, self.hops.len())));
-        self.hops.push(Some(hop));
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Event { at, seq, hop });
     }
 
     fn pop(&mut self) -> Option<(u64, Hop)> {
-        let Some(Reverse((at, slot))) = self.heap.pop() else {
-            // Drained: every slot has been popped, start over at slot 0.
-            self.hops.clear();
-            return None;
-        };
-        Some((at, self.hops[slot].take().expect("a slot pops once")))
+        self.heap.pop().map(|e| (e.at, e.hop))
     }
 }
 
@@ -468,7 +492,7 @@ impl RackClient<'_> {
         self.rack.execute_with(&mut self.scratch, pkt, port);
         let found = self.scratch.to_clients.drain(..).find_map(|(j, pkt)| {
             (j == self.index)
-                .then(|| Response::from_owned(pkt).map(ClientResponse::new))
+                .then(|| Response::from_packet(&pkt).map(ClientResponse::new))
                 .flatten()
         });
         if found.is_some() {

@@ -735,7 +735,7 @@ impl UdpClient {
                     continue;
                 };
                 let seq = reply.netcache.seq;
-                let response = Response::from_owned(reply);
+                let response = Response::from_packet(&reply);
                 let Some(entry) = inflight.get(&seq) else {
                     report.stale_replies += 1;
                     counters.stale_replies.fetch_add(1, Ordering::Relaxed);

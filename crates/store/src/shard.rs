@@ -176,13 +176,13 @@ impl ShardedStore {
         }
     }
 
-    /// Visits every stored `(key, item)` pair, shard by shard. Order is
-    /// arbitrary; each shard's lock is held only while that shard is
-    /// visited, so `f` must not re-enter the store.
-    pub fn for_each(&self, mut f: impl FnMut(&Key, StoredItem)) {
+    /// Visits every stored item as `(key, value bytes, version)`, shard by
+    /// shard. Order is arbitrary; each shard's lock is held only while
+    /// that shard is visited, so `f` must not re-enter the store.
+    pub fn for_each(&self, mut f: impl FnMut(&Key, &[u8], u32)) {
         for shard in &self.shards {
             for (k, v) in shard.lock().iter() {
-                f(k, v.item());
+                f(k, &v.bytes, v.version);
             }
         }
     }
@@ -262,7 +262,7 @@ mod tests {
             s.put(Key::from_u64(i), Value::for_item(i, 16), (i + 1) as u32);
         }
         let mut seen = Vec::new();
-        s.for_each(|_, item| seen.push(item.version));
+        s.for_each(|_, _, version| seen.push(version));
         seen.sort_unstable();
         assert_eq!(seen, (1..=100).collect::<Vec<u32>>());
         s.clear();
