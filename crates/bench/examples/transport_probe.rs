@@ -1,11 +1,10 @@
 //! Runtime tuning probe: isolates raw [`SocketDriver`] throughput (no
 //! rack logic, one thread, two sockets ping-ponging full windows) to
-//! compare backends without scheduler noise, sweeps pipeline window
-//! depth on a live rack, then repeats the full transport comparison a
-//! few rounds to show run-to-run spread.
+//! compare backends without scheduler noise, then sweeps pipeline window
+//! depth on a live rack. The rack-vs-UDP transport comparison lives in
+//! the contract benchmark's `rack_*` and `udp_*` workloads.
 //!
-//! Usage: `cargo run --release -p netcache-bench --example
-//! transport_probe [comparison-rounds]`
+//! Usage: `cargo run --release -p netcache-bench --example transport_probe`
 //!
 //! [`SocketDriver`]: netcache::runtime::SocketDriver
 
@@ -13,7 +12,6 @@ use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
 use netcache::runtime::{make_driver, RecvRing, RuntimeKind, SendRing, DEFAULT_BATCH};
-use netcache_bench::transports::run_transport_comparison;
 
 fn raw_driver_bench(kind: RuntimeKind, rounds: usize) {
     let a = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -108,10 +106,6 @@ fn window_scaling(kind: RuntimeKind, window: usize) {
 }
 
 fn main() {
-    let rounds: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
     for _ in 0..2 {
         raw_driver_bench(RuntimeKind::Batched, 2_000);
         raw_driver_bench(RuntimeKind::Uring, 2_000);
@@ -119,16 +113,5 @@ fn main() {
     for &w in &[64usize, 128, 256] {
         window_scaling(RuntimeKind::Batched, w);
         window_scaling(RuntimeKind::Uring, w);
-    }
-    for round in 0..rounds {
-        for r in run_transport_comparison(6_000, 0xbe7c + round as u64) {
-            println!(
-                "round {round}: {:>24} [{:>8}] {:>10.1} kqps  spp {:.3}",
-                r.name,
-                r.runtime,
-                r.qps / 1e3,
-                r.syscalls_per_packet
-            );
-        }
     }
 }

@@ -112,7 +112,7 @@ fn snake_model_qps(sender_mqps: f64, loop_ports: u64) -> f64 {
 fn main() {
     // This figure is deterministic (no workload RNG); NETCACHE_TEST_SEED
     // is recorded in the JSON envelope for provenance only.
-    let cli = parse_cli("fig09_microbench", false, "");
+    let cli = parse_cli("fig09_microbench", "");
     let mut rows = Vec::new();
     banner(
         "Figure 9(a)",

@@ -13,7 +13,7 @@ use netcache_bench::{banner, base_sim, fmt_qps, run_saturated, to_paper_scale, P
 use netcache_sim::AnalyticModel;
 
 fn main() {
-    let cli = parse_cli("fig10a_throughput", false, "");
+    let cli = parse_cli("fig10a_throughput", "");
     banner(
         "Figure 10(a)",
         "throughput vs skew: NoCache vs NetCache (10K items cached)",

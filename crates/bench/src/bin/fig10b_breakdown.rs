@@ -58,7 +58,7 @@ fn row_json(label: &str, report: &SimReport) -> String {
 }
 
 fn main() {
-    let cli = parse_cli("fig10b_breakdown", false, "");
+    let cli = parse_cli("fig10b_breakdown", "");
     banner(
         "Figure 10(b)",
         "per-server throughput: cache disabled (3 skews) vs enabled (zipf-.99)",

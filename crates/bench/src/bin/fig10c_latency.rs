@@ -18,7 +18,7 @@ use netcache_sim::rack_sim::LatencyModel;
 use netcache_sim::{AnalyticModel, RackSim};
 
 fn main() {
-    let cli = parse_cli("fig10c_latency", false, "");
+    let cli = parse_cli("fig10c_latency", "");
     banner(
         "Figure 10(c)",
         "average latency vs throughput (zipf-.99 reads)",

@@ -14,7 +14,7 @@ use netcache_bench::{banner, base_sim, run_saturated, to_paper_scale};
 use netcache_workload::WriteSkew;
 
 fn main() {
-    let cli = parse_cli("fig10d_write_ratio", false, "");
+    let cli = parse_cli("fig10d_write_ratio", "");
     banner(
         "Figure 10(d)",
         "throughput vs write ratio (reads zipf-.99; writes uniform or zipf-.99)",

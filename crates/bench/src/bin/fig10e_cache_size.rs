@@ -12,7 +12,7 @@ use netcache_bench::{banner, base_sim, run_saturated, to_paper_scale, PARTITION_
 use netcache_sim::AnalyticModel;
 
 fn main() {
-    let cli = parse_cli("fig10e_cache_size", false, "");
+    let cli = parse_cli("fig10e_cache_size", "");
     banner(
         "Figure 10(e)",
         "throughput vs cache size (zipf-.90 and zipf-.99)",

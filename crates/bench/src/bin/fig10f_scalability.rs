@@ -12,7 +12,7 @@ use netcache_bench::{banner, fmt_qps};
 use netcache_sim::{MultiRackConfig, MultiRackModel, ScaleOutScheme};
 
 fn main() {
-    let cli = parse_cli("fig10f_scalability", false, "");
+    let cli = parse_cli("fig10f_scalability", "");
     banner(
         "Figure 10(f)",
         "scale-out simulation: NoCache vs Leaf-Cache vs Leaf-Spine-Cache",

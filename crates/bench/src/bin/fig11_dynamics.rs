@@ -107,7 +107,7 @@ fn run_dynamic(name: &str, change: DynamicWorkload, period_s: f64, seconds: f64)
 }
 
 fn main() {
-    let cli = parse_cli("fig11_dynamics", false, " [hot-in|random|hot-out|all]");
+    let cli = parse_cli("fig11_dynamics", " [hot-in|random|hot-out|all]");
     let which = match cli.positional.as_slice() {
         [] => "all".to_string(),
         [w] if ["hot-in", "random", "hot-out", "all"].contains(&w.as_str()) => w.clone(),

@@ -1,13 +1,11 @@
-//! Failover-latency scenario: a chain-replicated rack loses a replica
-//! mid-workload and the harness measures what that failure costs —
-//! the availability gap until the controller splices the dead node out
-//! (abandoned ops under a bounded retry budget), the wall-clock price of
-//! the repair itself, and the cost of wiping, re-syncing and rejoining
-//! the node afterwards. Goodput is reported in virtual time on either
-//! side of the event, so a regression in the repaired chain's serving
-//! path shows up as a before/after gap.
-
-use std::time::Instant;
+//! Failover scenario: a chain-replicated rack loses a replica
+//! mid-workload and the harness counts what that failure costs — the
+//! availability gap until the controller splices the dead node out
+//! (abandoned ops under a bounded retry budget), the chain repairs and
+//! re-syncs it takes, and per phase (before, degraded, recovered) how many
+//! ops completed, were abandoned or needed a retransmission. The
+//! in-process rack has no virtual clock to time a phase by, so the
+//! scenario reports exact counts only: a seed reproduces them bit for bit.
 
 use netcache::{Rack, RackConfig, RackHandle, RackReport, RetryPolicy};
 use netcache_proto::{Key, Value};
@@ -17,6 +15,17 @@ use rand::{RngExt, SeedableRng};
 /// Keys in the workload; small enough that every chain sees traffic.
 const KEYS: u64 = 256;
 
+/// Op outcomes of one measured phase.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseCounts {
+    /// Ops answered within the retry budget.
+    pub completed: u64,
+    /// Ops abandoned after exhausting the retry budget.
+    pub abandoned: u64,
+    /// Ops that needed at least one retransmission (completed or not).
+    pub retried: u64,
+}
+
 /// What the failover scenario measured.
 #[derive(Debug, Clone)]
 pub struct FailoverResult {
@@ -25,49 +34,45 @@ pub struct FailoverResult {
     pub servers: u32,
     /// Workload ops per measured phase.
     pub ops: u64,
-    /// Virtual-time goodput with every chain at full strength.
-    pub qps_before: f64,
-    /// Virtual-time goodput after the failover (degraded chains).
-    pub qps_degraded: f64,
-    /// Virtual-time goodput after the node re-synced and rejoined.
-    pub qps_recovered: f64,
+    /// Every chain at full strength.
+    pub before: PhaseCounts,
+    /// After the failover (degraded chains).
+    pub degraded: PhaseCounts,
+    /// After the node re-synced and rejoined.
+    pub recovered: PhaseCounts,
     /// Ops abandoned in the detection window between the kill and the
     /// repairing controller cycle (bounded retry budget).
     pub unavailable_ops: u64,
-    /// Wall-clock nanoseconds of the controller cycle that detects the
-    /// failure and splices the chains.
-    pub repair_ns: u64,
-    /// Wall-clock nanoseconds of the controller cycle that re-syncs the
-    /// restarted node and rejoins it as tail.
-    pub resync_ns: u64,
     /// Chain members spliced out by the repair.
     pub failovers: u64,
     /// Store re-syncs performed when the node rejoined.
     pub resyncs: u64,
 }
 
-/// One measured phase: `ops` mixed get/put ops, wall-clock goodput.
-fn run_phase(rack: &Rack, rng: &mut StdRng, ops: u64) -> (f64, u64) {
+/// One measured phase: `ops` mixed get/put ops under the default retry
+/// policy.
+fn run_phase(rack: &Rack, rng: &mut StdRng, ops: u64) -> PhaseCounts {
     let mut client = rack.client(0);
-    let start = Instant::now();
-    let mut abandoned = 0u64;
+    let mut counts = PhaseCounts::default();
     for i in 0..ops {
         let k = rng.random_range(0..KEYS);
         let key = Key::from_u64(k);
-        if rng.random::<f64>() < 0.8 {
-            if client.get_with_retry(key).response.is_none() {
-                abandoned += 1;
-            }
+        let outcome = if rng.random::<f64>() < 0.8 {
+            client.get_with_retry(key)
         } else {
             let value = Value::filled((i % 251) as u8 + 1, 64);
-            if client.put_with_retry(key, value).response.is_none() {
-                abandoned += 1;
-            }
+            client.put_with_retry(key, value)
+        };
+        if outcome.response.is_some() {
+            counts.completed += 1;
+        } else {
+            counts.abandoned += 1;
+        }
+        if outcome.retries > 0 {
+            counts.retried += 1;
         }
     }
-    let elapsed_ns = (start.elapsed().as_nanos() as u64).max(1);
-    let good = ops - abandoned;
-    (good as f64 / (elapsed_ns as f64 / 1e9), abandoned)
+    counts
 }
 
 /// Runs the failover scenario on an in-process rack: measure, kill a
@@ -84,7 +89,7 @@ pub fn run_failover(ops: u64, seed: u64) -> FailoverResult {
     rack.populate_cache((0..64).map(Key::from_u64));
     let mut rng = StdRng::seed_from_u64(seed ^ 0xfa11);
 
-    let (qps_before, _) = run_phase(&rack, &mut rng, ops);
+    let before = run_phase(&rack, &mut rng, ops);
 
     // Kill the tail of a populated partition (the hash partitioner can
     // leave small-keyspace partitions empty, so anchor on a real key's
@@ -115,18 +120,12 @@ pub fn run_failover(ops: u64, seed: u64) -> FailoverResult {
         }
     }
 
-    let t = Instant::now();
     rack.run_controller();
-    let repair_ns = t.elapsed().as_nanos() as u64;
-
-    let (qps_degraded, _) = run_phase(&rack, &mut rng, ops);
+    let degraded = run_phase(&rack, &mut rng, ops);
 
     rack.restart_server(victim);
-    let t = Instant::now();
     rack.run_controller();
-    let resync_ns = t.elapsed().as_nanos() as u64;
-
-    let (qps_recovered, _) = run_phase(&rack, &mut rng, ops);
+    let recovered = run_phase(&rack, &mut rng, ops);
 
     let report = RackReport::capture(&rack);
     assert!(
@@ -143,12 +142,10 @@ pub fn run_failover(ops: u64, seed: u64) -> FailoverResult {
         factor,
         servers,
         ops,
-        qps_before,
-        qps_degraded,
-        qps_recovered,
+        before,
+        degraded,
+        recovered,
         unavailable_ops,
-        repair_ns,
-        resync_ns,
         failovers: report.controller.chain_failovers,
         resyncs: report.controller.chain_resyncs,
     }
@@ -156,19 +153,23 @@ pub fn run_failover(ops: u64, seed: u64) -> FailoverResult {
 
 /// Serializes one failover result as a JSON object.
 pub fn failover_result_json(r: &FailoverResult) -> String {
+    let phase = |name: &str, p: &PhaseCounts| {
+        format!(
+            "\"{name}\":{{\"completed\":{},\"abandoned\":{},\"retried\":{}}}",
+            p.completed, p.abandoned, p.retried
+        )
+    };
     format!(
-        "{{\"factor\":{},\"servers\":{},\"ops\":{},\"qps_before\":{},\
-         \"qps_degraded\":{},\"qps_recovered\":{},\"unavailable_ops\":{},\
-         \"repair_ns\":{},\"resync_ns\":{},\"failovers\":{},\"resyncs\":{}}}",
+        "{{\"name\":\"failover/chain-rf{}\",\"factor\":{},\"servers\":{},\"ops\":{},\
+         {},{},{},\"unavailable_ops\":{},\"failovers\":{},\"resyncs\":{}}}",
+        r.factor,
         r.factor,
         r.servers,
         r.ops,
-        netcache::json::fmt_f64(r.qps_before),
-        netcache::json::fmt_f64(r.qps_degraded),
-        netcache::json::fmt_f64(r.qps_recovered),
+        phase("before", &r.before),
+        phase("degraded", &r.degraded),
+        phase("recovered", &r.recovered),
         r.unavailable_ops,
-        r.repair_ns,
-        r.resync_ns,
         r.failovers,
         r.resyncs
     )
@@ -182,12 +183,22 @@ mod tests {
     #[test]
     fn failover_scenario_runs_and_serializes() {
         let r = run_failover(200, 7);
-        assert!(r.qps_before > 0.0 && r.qps_recovered > 0.0);
+        for p in [r.before, r.degraded, r.recovered] {
+            assert_eq!(p.completed + p.abandoned, r.ops);
+        }
+        assert!(r.before.completed > 0 && r.recovered.completed > 0);
         assert!(r.failovers >= 1);
         assert!(r.resyncs >= 1);
         let doc = Json::parse(&failover_result_json(&r)).expect("valid json");
         assert_eq!(doc.get_u64("factor"), Ok(2));
-        assert!(doc.get_finite("qps_before").unwrap() > 0.0);
+        let before = doc.get("before").expect("before phase");
+        assert_eq!(before.get_u64("completed"), Ok(r.before.completed));
         assert_eq!(doc.get_u64("failovers"), Ok(r.failovers));
+    }
+
+    #[test]
+    fn failover_counts_repeat_for_a_seed() {
+        let (a, b) = (run_failover(200, 7), run_failover(200, 7));
+        assert_eq!(failover_result_json(&a), failover_result_json(&b));
     }
 }

@@ -10,8 +10,6 @@ use netcache_sim::{AnalyticModel, RackSim, SimConfig, SimReport};
 pub mod failover;
 pub mod scaleout;
 pub mod scenario;
-pub mod threaded;
-pub mod transports;
 
 /// The scaled-down stand-ins for the paper's hardware rates.
 ///

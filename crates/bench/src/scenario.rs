@@ -2,32 +2,29 @@
 //!
 //! Every figure binary accepts `--json <path>` and writes its rows as a
 //! `netcache-fig/v1` document; `bench_all` drives a common scenario set
-//! and writes a `netcache-bench/v1` document (see `DESIGN.md` §9). All
+//! and writes a `netcache-bench/v2` document (see `DESIGN.md` §9). All
 //! serialization goes through [`netcache::json::fmt_f64`], so a NaN or
 //! infinite statistic becomes JSON `null` and trips the harness's
-//! `get_finite` validation instead of silently round-tripping.
+//! finite-number check instead of silently round-tripping.
 
 use netcache::json::{escape, fmt_f64};
-use netcache_sim::{SimConfig, SimReport};
+use netcache_sim::SimReport;
 
 /// Parsed command line shared by the bench binaries.
 #[derive(Debug, Clone, Default)]
 pub struct BenchCli {
     /// Where to write the machine-readable results (`--json <path>`).
     pub json: Option<String>,
-    /// Shrink the run for smoke testing (`--quick`; only where allowed).
-    pub quick: bool,
     /// Remaining positional arguments (figure-specific selectors).
     pub positional: Vec<String>,
 }
 
 /// Parses the bench command line, exiting with a usage error on anything
 /// malformed (same contract as `udp_cluster --loss`).
-pub fn parse_cli(bin: &str, allow_quick: bool, extra_usage: &str) -> BenchCli {
+pub fn parse_cli(bin: &str, extra_usage: &str) -> BenchCli {
     let usage = |problem: &str| -> ! {
         eprintln!("error: {problem}");
-        let quick = if allow_quick { " [--quick]" } else { "" };
-        eprintln!("usage: {bin} [--json <path>]{quick}{extra_usage}");
+        eprintln!("usage: {bin} [--json <path>]{extra_usage}");
         std::process::exit(2);
     };
     let mut cli = BenchCli::default();
@@ -43,7 +40,6 @@ pub fn parse_cli(bin: &str, allow_quick: bool, extra_usage: &str) -> BenchCli {
                 }
                 cli.json = Some(path);
             }
-            "--quick" if allow_quick => cli.quick = true,
             other if other.starts_with('-') => {
                 usage(&format!("unknown argument {other:?}"));
             }
@@ -51,15 +47,6 @@ pub fn parse_cli(bin: &str, allow_quick: bool, extra_usage: &str) -> BenchCli {
         }
     }
     cli
-}
-
-/// Shrinks a simulation config for smoke runs (`--quick`): shorter
-/// windows, fewer resident keys. Ratios stay meaningful; absolute
-/// throughput does not.
-pub fn apply_quick(config: &mut SimConfig) {
-    config.duration_s = 0.5;
-    config.warmup_s = 0.25;
-    config.loaded_keys = Some(config.loaded_keys.map_or(50_000, |k| k.min(50_000)));
 }
 
 /// Serializes a [`SimReport`] as one JSON object (no name; callers embed

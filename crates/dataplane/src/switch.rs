@@ -1035,6 +1035,27 @@ mod tests {
     }
 
     #[test]
+    fn one_pass_values_never_recirculate() {
+        // Values up to 128 B (8 units) fit one traversal; one byte more
+        // costs exactly one recirculation.
+        for (len, recirculations) in [(64, 0), (128, 0), (129, 1)] {
+            let mut sw = switch();
+            let key = Key::from_u64(len as u64);
+            let value = Value::for_item(len as u64, len);
+            install(&mut sw, key, &value, 0, 0);
+            let out = sw
+                .process(
+                    Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 1),
+                    CLIENT_PORT,
+                )
+                .expect("one output");
+            assert_eq!(out.1.netcache.op, Op::GetReplyHit, "{len} B");
+            assert_eq!(out.1.netcache.value.as_ref().unwrap(), &value, "{len} B");
+            assert_eq!(sw.stats().recirculations, recirculations, "{len} B");
+        }
+    }
+
+    #[test]
     fn max_width_value_served_at_the_pass_budget() {
         let mut sw = switch();
         let key = Key::from_u64(2048);
