@@ -161,10 +161,12 @@ impl RackReport {
     }
 
     /// A stable machine-readable snapshot (schema
-    /// `netcache-rack-report/v3` — v3 added the switch `recirculations`
-    /// counter for multi-pass values; v2 added the transport backend label
-    /// and the io_uring ring counters). Key order is fixed; a golden
-    /// test pins it so the bench schema cannot drift silently.
+    /// `netcache-rack-report/v4` — v4 dropped the io_uring zero-copy send
+    /// counter with the ring send path; v3 added the switch
+    /// `recirculations` counter for multi-pass values; v2 added the
+    /// transport backend label and the io_uring ring counters). Key order
+    /// is fixed; a golden test pins it so the bench schema cannot drift
+    /// silently.
     pub fn to_json(&self) -> String {
         let loads = self.server_loads();
         let loads_json = loads
@@ -173,7 +175,7 @@ impl RackReport {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"schema\":\"netcache-rack-report/v3\",\
+            "{{\"schema\":\"netcache-rack-report/v4\",\
              \"switch\":{{\"packets\":{},\"netcache_packets\":{},\"cache_hits\":{},\
              \"invalid_hits\":{},\"cache_misses\":{},\"write_invalidations\":{},\
              \"updates_applied\":{},\"updates_ignored\":{},\"drops\":{},\
@@ -190,7 +192,7 @@ impl RackReport {
              \"transport\":{{\"backend\":\"{}\",\
              \"recv_syscalls\":{},\"recv_packets\":{},\
              \"send_syscalls\":{},\"send_packets\":{},\"syscalls_per_packet\":{},\
-             \"cqe_batches\":{},\"zerocopy_sends\":{},\
+             \"cqe_batches\":{},\
              \"batch_occupancy\":{}}},\
              \"replication\":{{\"factor\":{},\"full_chains\":{},\
              \"degraded_chains\":{},\"unserved_partitions\":{},\
@@ -245,7 +247,6 @@ impl RackReport {
             self.transport.send_packets,
             fmt_f64(self.transport.syscalls_per_packet()),
             self.transport.cqe_batches,
-            self.transport.zc_completions,
             self.batch_occupancy.to_json(),
             self.replication.factor,
             self.replication.full_chains,

@@ -47,7 +47,7 @@ pub(crate) struct SockaddrIn {
 }
 
 impl SockaddrIn {
-    pub(crate) fn zeroed() -> SockaddrIn {
+    fn zeroed() -> SockaddrIn {
         SockaddrIn {
             sin_family: 0,
             sin_port: 0,
@@ -56,7 +56,7 @@ impl SockaddrIn {
         }
     }
 
-    pub(crate) fn from_addr(addr: &SocketAddrV4) -> SockaddrIn {
+    fn from_addr(addr: &SocketAddrV4) -> SockaddrIn {
         SockaddrIn {
             sin_family: AF_INET as u16,
             sin_port: addr.port().to_be(),
@@ -75,21 +75,38 @@ impl SockaddrIn {
 
 #[repr(C)]
 #[derive(Clone, Copy)]
-pub(crate) struct IoVec {
-    pub(crate) base: *mut u8,
-    pub(crate) len: usize,
+struct IoVec {
+    base: *mut u8,
+    len: usize,
 }
 
 #[repr(C)]
 #[derive(Clone, Copy)]
 pub(crate) struct MsgHdr {
-    pub(crate) name: *mut SockaddrIn,
-    pub(crate) namelen: u32,
-    pub(crate) iov: *mut IoVec,
-    pub(crate) iovlen: usize,
-    pub(crate) control: *mut u8,
-    pub(crate) controllen: usize,
-    pub(crate) flags: i32,
+    name: *mut SockaddrIn,
+    namelen: u32,
+    iov: *mut IoVec,
+    iovlen: usize,
+    control: *mut u8,
+    controllen: usize,
+    flags: i32,
+}
+
+impl MsgHdr {
+    /// A header carrying only buffer lengths — the template a multishot
+    /// `recvmsg` reads: room for a `namelen`-byte source address and
+    /// `controllen` bytes of control messages in each provided buffer.
+    pub(crate) fn lengths_only(namelen: u32, controllen: usize) -> MsgHdr {
+        MsgHdr {
+            name: std::ptr::null_mut(),
+            namelen,
+            iov: std::ptr::null_mut(),
+            iovlen: 0,
+            control: std::ptr::null_mut(),
+            controllen,
+            flags: 0,
+        }
+    }
 }
 
 #[repr(C)]
@@ -103,15 +120,7 @@ struct MMsgHdr {
 impl MMsgHdr {
     fn zeroed() -> MMsgHdr {
         MMsgHdr {
-            hdr: MsgHdr {
-                name: std::ptr::null_mut(),
-                namelen: 0,
-                iov: std::ptr::null_mut(),
-                iovlen: 0,
-                control: std::ptr::null_mut(),
-                controllen: 0,
-                flags: 0,
-            },
+            hdr: MsgHdr::lengths_only(0, 0),
             len: 0,
         }
     }
@@ -144,7 +153,7 @@ impl Timespec {
 /// `UDP_SEGMENT`, the GSO segment size.
 #[repr(C)]
 #[derive(Clone, Copy)]
-pub(crate) struct GsoCmsg {
+struct GsoCmsg {
     /// `cmsg_len`: header plus payload, unpadded (`CMSG_LEN(2)`).
     len: usize,
     level: i32,
@@ -154,7 +163,7 @@ pub(crate) struct GsoCmsg {
 }
 
 impl GsoCmsg {
-    pub(crate) fn new(gso_size: u16) -> GsoCmsg {
+    fn new(gso_size: u16) -> GsoCmsg {
         GsoCmsg {
             len: mem::size_of::<usize>() + 2 * mem::size_of::<i32>() + mem::size_of::<u16>(),
             level: SOL_UDP,
@@ -222,50 +231,12 @@ fn last_errno() -> i32 {
     io::Error::last_os_error().raw_os_error().unwrap_or(0)
 }
 
-/// Waits for readability on any of `fds`, appending the indices of ready
-/// descriptors to `ready`. One `ppoll` regardless of the set size;
-/// `EINTR` counts as "none ready".
-pub(crate) fn wait_ready_many(
-    fds: &[RawFd],
-    timeout: Duration,
-    ready: &mut Vec<usize>,
-) -> io::Result<()> {
-    let mut pfds: Vec<PollFd> = fds
-        .iter()
-        .map(|&fd| PollFd {
-            fd,
-            events: POLLIN,
-            revents: 0,
-        })
-        .collect();
+/// One `ppoll` over `pfds` with nanosecond precision. Returns whether any
+/// descriptor is ready; `EINTR` counts as "none ready" (the caller's loop
+/// re-enters).
+fn poll(pfds: &mut [PollFd], timeout: Duration) -> io::Result<bool> {
     let ts = Timespec::from_duration(timeout);
     let rc = unsafe { ppoll(pfds.as_mut_ptr(), pfds.len() as u64, &ts, std::ptr::null()) };
-    if rc < 0 {
-        let errno = last_errno();
-        if errno == EINTR {
-            return Ok(());
-        }
-        return Err(io::Error::last_os_error());
-    }
-    for (i, pfd) in pfds.iter().enumerate() {
-        if pfd.revents & POLLIN != 0 {
-            ready.push(i);
-        }
-    }
-    Ok(())
-}
-
-/// Waits for `events` on `fd` with nanosecond precision. Returns whether
-/// the fd is ready; `EINTR` counts as "not ready" (the caller's loop
-/// re-enters). Exactly one syscall.
-fn wait_ready(fd: RawFd, events: i16, timeout: Duration) -> io::Result<bool> {
-    let mut pfd = PollFd {
-        fd,
-        events,
-        revents: 0,
-    };
-    let ts = Timespec::from_duration(timeout);
-    let rc = unsafe { ppoll(&mut pfd, 1, &ts, std::ptr::null()) };
     if rc < 0 {
         let errno = last_errno();
         if errno == EINTR {
@@ -274,6 +245,16 @@ fn wait_ready(fd: RawFd, events: i16, timeout: Duration) -> io::Result<bool> {
         return Err(io::Error::last_os_error());
     }
     Ok(rc > 0)
+}
+
+/// Waits for `events` on `fd`. Exactly one syscall.
+fn wait_ready(fd: RawFd, events: i16, timeout: Duration) -> io::Result<bool> {
+    let mut pfd = [PollFd {
+        fd,
+        events,
+        revents: 0,
+    }];
+    poll(&mut pfd, timeout)
 }
 
 /// The `ppoll` + `recvmmsg`/`sendmmsg` driver. Holds the scatter-gather
@@ -299,19 +280,22 @@ pub(crate) struct BatchedDriver {
     /// Whether this driver's socket has `UDP_GRO` coalescing enabled —
     /// `None` until the first receive probes the kernel.
     gro: Option<bool>,
-    /// GRO staging: one [`GRO_BUF`] buffer per message, split into ring
-    /// frames after the syscall.
+    /// GRO staging: one [`GRO_BUF`] buffer per message of the last
+    /// `recvmmsg`, cut back into ring frames as calls ask for them.
     gro_bufs: Vec<Vec<u8>>,
-    /// Segments that arrived in a GRO super-datagram but did not fit the
-    /// ring; served (oldest first, zero syscalls) by the next call.
-    spill: std::collections::VecDeque<(Vec<u8>, SocketAddr)>,
-    /// Retired spill buffers, reused so steady-state spilling is
-    /// allocation-free.
-    spill_pool: Vec<Vec<u8>>,
+    /// The non-empty messages in `gro_bufs`, recorded before a send can
+    /// reuse the shared header arrays.
+    gro_msgs: Vec<GroMsg>,
+    /// Where the next datagram starts: message index into `gro_msgs`,
+    /// byte offset into its buffer. Datagrams that did not fit the ring
+    /// are served from here, with no syscall, by the next call.
+    gro_next: (usize, usize),
+    /// The `wait_group` poll set, rebuilt in place on every call.
+    pollfds: Vec<PollFd>,
 }
 
 /// Whether this kernel supports `UDP_SEGMENT` (one probe per process).
-pub(crate) fn gso_supported() -> bool {
+fn gso_supported() -> bool {
     static SUPPORTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *SUPPORTED.get_or_init(|| {
         let Ok(sock) = UdpSocket::bind("127.0.0.1:0") else {
@@ -341,8 +325,9 @@ impl BatchedDriver {
             controls: Vec::new(),
             gro: None,
             gro_bufs: Vec::new(),
-            spill: std::collections::VecDeque::new(),
-            spill_pool: Vec::new(),
+            gro_msgs: Vec::new(),
+            gro_next: (0, 0),
+            pollfds: Vec::new(),
         }
     }
 
@@ -364,6 +349,38 @@ impl BatchedDriver {
             self.controls.resize(n, GsoCmsg::new(0));
         }
     }
+
+    /// Cuts datagrams out of the GRO messages from `gro_next` on until the
+    /// ring is full or every message is consumed.
+    fn split_gro(&mut self, ring: &mut RecvRing) -> usize {
+        let mut out = 0;
+        while out < ring.capacity() {
+            let (i, off) = self.gro_next;
+            let Some(&GroMsg { buf, len, src, seg }) = self.gro_msgs.get(i) else {
+                break;
+            };
+            let end = (off + seg).min(len);
+            let slot = ring.slot_mut(out);
+            let take = (end - off).min(slot.len());
+            slot[..take].copy_from_slice(&self.gro_bufs[buf][off..off + take]);
+            ring.commit(out, take, src);
+            out += 1;
+            self.gro_next = if end < len { (i, end) } else { (i + 1, 0) };
+        }
+        ring.set_len(out);
+        out
+    }
+}
+
+/// One message of a GRO receive: the `gro_bufs` index it landed in
+/// (its `recvmmsg` index — empty messages are skipped, so this differs
+/// from its position in `gro_msgs`), its length, sender and segment size.
+#[derive(Clone, Copy)]
+struct GroMsg {
+    buf: usize,
+    len: usize,
+    src: SocketAddr,
+    seg: usize,
 }
 
 impl SocketDriver for BatchedDriver {
@@ -378,23 +395,11 @@ impl SocketDriver for BatchedDriver {
         timeout: Duration,
     ) -> io::Result<IoOutcome> {
         ring.set_len(0);
-        // Serve segments spilled by an earlier GRO split before touching
-        // the socket again: they are already in user space.
-        if !self.spill.is_empty() {
-            let mut got = 0usize;
-            while got < ring.capacity() {
-                let Some((buf, src)) = self.spill.pop_front() else {
-                    break;
-                };
-                let len = buf.len().min(ring.slot_mut(got).len());
-                ring.slot_mut(got)[..len].copy_from_slice(&buf[..len]);
-                ring.commit(got, len, src);
-                got += 1;
-                self.spill_pool.push(buf);
-            }
-            ring.set_len(got);
+        // Serve what is left of an earlier GRO receive before touching
+        // the socket again: it is already in user space.
+        if self.gro_next.0 < self.gro_msgs.len() {
             return Ok(IoOutcome {
-                packets: got,
+                packets: self.split_gro(ring),
                 syscalls: 0,
                 ..Default::default()
             });
@@ -408,18 +413,26 @@ impl SocketDriver for BatchedDriver {
             let rc = unsafe { setsockopt(fd, SOL_UDP, UDP_GRO, &one, 4) };
             self.gro = Some(rc == 0);
         }
-        if !wait_ready(fd, POLLIN, timeout)? {
-            return Ok(IoOutcome {
-                packets: 0,
-                syscalls: 1,
-                ..Default::default()
-            });
+        // A zero timeout follows a group wait that already reported the
+        // socket readable: go straight to the non-blocking drain, where
+        // `EAGAIN` means empty.
+        let mut syscalls = 1;
+        if !timeout.is_zero() {
+            if !wait_ready(fd, POLLIN, timeout)? {
+                return Ok(IoOutcome {
+                    packets: 0,
+                    syscalls,
+                    ..Default::default()
+                });
+            }
+            syscalls += 1;
         }
         let n = ring.capacity();
         self.reserve(n);
         let gro = self.gro == Some(true);
         if gro && self.gro_bufs.len() < n {
             self.gro_bufs.resize_with(n, || vec![0u8; GRO_BUF]);
+            self.gro_msgs.reserve(n);
         }
         for i in 0..n {
             let (base, len, control, controllen) = if gro {
@@ -461,11 +474,11 @@ impl SocketDriver for BatchedDriver {
         if rc < 0 {
             let errno = last_errno();
             if errno == EAGAIN || errno == EINTR {
-                // Raced another shard to the queue: readable when polled,
-                // empty by the time we drained.
+                // Nothing queued, or raced another shard to the queue:
+                // readable when polled, empty by the time we drained.
                 return Ok(IoOutcome {
                     packets: 0,
-                    syscalls: 2,
+                    syscalls,
                     ..Default::default()
                 });
             }
@@ -479,16 +492,15 @@ impl SocketDriver for BatchedDriver {
             ring.set_len(got);
             return Ok(IoOutcome {
                 packets: got,
-                syscalls: 2,
+                syscalls,
                 ..Default::default()
             });
         }
         // GRO split: each message may carry a whole burst; the `UDP_GRO`
         // cmsg gives the segment size to cut it back into datagrams.
-        let mut out = 0usize;
+        self.gro_msgs.clear();
         for i in 0..got {
             let len = self.msgs[i].len as usize;
-            let src = self.addrs[i].to_addr();
             let c = &self.controls[i];
             let seg = if self.msgs[i].hdr.controllen >= GsoCmsg::new(0).len
                 && c.level == SOL_UDP
@@ -497,30 +509,22 @@ impl SocketDriver for BatchedDriver {
             {
                 c.gso_size as usize
             } else {
-                len.max(1)
+                len
             };
-            let mut off = 0usize;
-            while off < len {
-                let end = (off + seg).min(len);
-                if out < ring.capacity() {
-                    let slot = ring.slot_mut(out);
-                    let take = (end - off).min(slot.len());
-                    slot[..take].copy_from_slice(&self.gro_bufs[i][off..off + take]);
-                    ring.commit(out, take, src);
-                    out += 1;
-                } else {
-                    let mut buf = self.spill_pool.pop().unwrap_or_default();
-                    buf.clear();
-                    buf.extend_from_slice(&self.gro_bufs[i][off..end]);
-                    self.spill.push_back((buf, src));
-                }
-                off = end;
+            if len > 0 {
+                let src = self.addrs[i].to_addr();
+                self.gro_msgs.push(GroMsg {
+                    buf: i,
+                    len,
+                    src,
+                    seg,
+                });
             }
         }
-        ring.set_len(out);
+        self.gro_next = (0, 0);
         Ok(IoOutcome {
-            packets: out,
-            syscalls: 2,
+            packets: self.split_gro(ring),
+            syscalls,
             ..Default::default()
         })
     }
@@ -657,6 +661,26 @@ impl SocketDriver for BatchedDriver {
             ..Default::default()
         })
     }
+
+    fn wait_group(
+        &mut self,
+        socks: &[&UdpSocket],
+        timeout: Duration,
+        ready: &mut Vec<usize>,
+    ) -> io::Result<()> {
+        ready.clear();
+        self.pollfds.clear();
+        self.pollfds.extend(socks.iter().map(|s| PollFd {
+            fd: s.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        }));
+        if poll(&mut self.pollfds, timeout)? {
+            ready
+                .extend((0..self.pollfds.len()).filter(|&i| self.pollfds[i].revents & POLLIN != 0));
+        }
+        Ok(())
+    }
 }
 
 /// Binds `shards` UDP sockets to one loopback address via an
@@ -721,6 +745,52 @@ mod tests {
         let addr = SocketAddrV4::new(Ipv4Addr::new(127, 0, 0, 1), 0xbeef);
         let raw = SockaddrIn::from_addr(&addr);
         assert_eq!(raw.to_addr(), SocketAddr::V4(addr));
+    }
+
+    #[test]
+    fn gro_cursor_drains_past_an_empty_datagram() {
+        let [rx_sock, gso_sock, empty_sock] =
+            [(); 3].map(|_| UdpSocket::bind("127.0.0.1:0").unwrap());
+        let (dst, gso_src) = (
+            rx_sock.local_addr().unwrap(),
+            gso_sock.local_addr().unwrap(),
+        );
+        let (mut rx, mut tx) = (BatchedDriver::new(), BatchedDriver::new());
+        let mut ring = RecvRing::new(4);
+        // The first receive switches `UDP_GRO` on; the queue is empty.
+        rx.recv_batch(&rx_sock, &mut ring, Duration::ZERO).unwrap();
+        if rx.gro != Some(true) || !gso_supported() {
+            eprintln!("kernel lacks UDP_GRO/UDP_SEGMENT; cursor not exercised");
+            return;
+        }
+        // Two 8-segment GSO super-datagrams with an empty datagram from
+        // another sender between them: three `recvmmsg` messages, the
+        // middle one skipped by the split.
+        let mut send = SendRing::new(8);
+        for first in [0u8, 8] {
+            if first > 0 {
+                empty_sock.send_to(&[], dst).unwrap();
+            }
+            (first..first + 8).for_each(|i| send.push_frame(dst, &[i; 8]));
+            let out = tx.send_batch(&gso_sock, &mut send).unwrap();
+            assert_eq!((out.packets, out.syscalls), (8, 1), "one GSO sendmmsg");
+        }
+        // Let loopback queue all three messages for one `recvmmsg`.
+        std::thread::sleep(Duration::from_millis(50));
+
+        let mut next = 0u8;
+        for call in 0..4 {
+            let out = rx.recv_batch(&rx_sock, &mut ring, Duration::ZERO).unwrap();
+            assert_eq!(out.packets, 4, "call {call} fills the ring");
+            assert_eq!(out.syscalls, u64::from(call == 0), "call {call}");
+            for k in 0..ring.len() {
+                let (frame, src) = ring.frame(k);
+                assert_eq!((frame, src), (&[next; 8][..], gso_src), "frame {next}");
+                next += 1;
+            }
+        }
+        let out = rx.recv_batch(&rx_sock, &mut ring, Duration::ZERO).unwrap();
+        assert_eq!(out.packets, 0, "the empty datagram is not delivered");
     }
 
     #[test]

@@ -7,19 +7,19 @@
 //! event-loop layer the UDP transport (and any future socket transport)
 //! builds on:
 //!
-//! - [`SocketDriver`] — the backend trait: one readiness-driven
-//!   batch-receive primitive and one batch-send primitive. Two backends
-//!   ship today; the trait is shaped so an io_uring backend (submit the
-//!   ring, reap completions) can slot in without touching callers — see
-//!   DESIGN.md §12 for the recipe.
+//! - [`SocketDriver`] — the backend trait: a batch receive, a batch send
+//!   and one wait over a whole socket set. Three backends implement it
+//!   (DESIGN.md §12):
+//!   - **uring** (Linux, default): multishot `recvmsg` into a provided
+//!     buffer ring, one `io_uring_enter` as the set wait, sends through
+//!     the batched backend's `sendmmsg`.
 //!   - **batched** (Linux): `ppoll(2)` readiness waits with nanosecond
 //!     deadlines, then `recvmmsg(2)`/`sendmmsg(2)` move a whole batch of
 //!     datagrams per syscall. Declared via local `extern "C"` bindings —
 //!     no external crate.
 //!   - **portable**: plain `recv_from`/`send_to` behind the same trait,
-//!     one datagram per call with a cached read-timeout (the pre-runtime
-//!     behavior, kept for non-Linux builds and as a differential-testing
-//!     control).
+//!     one datagram per call (kept for non-Linux builds and as a
+//!     differential-testing control).
 //! - [`RecvRing`] / [`SendRing`] — registered buffer rings: fixed slabs
 //!   of reusable frame buffers the drivers scatter into and gather from,
 //!   so the steady-state hot path performs no per-packet heap
@@ -33,10 +33,9 @@
 //!   accounting, surfaced through [`crate::RackReport`] so the batching
 //!   win is observable rather than assumed.
 //!
-//! Backend selection is automatic ([`RuntimeKind::detect`]: batched on
-//! Linux, portable elsewhere) and overridable with
-//! `NETCACHE_RUNTIME=portable|batched` — CI runs the fabric differential
-//! suite under the portable runtime to pin the two backends equivalent.
+//! Backend selection is automatic ([`RuntimeKind::detect`]: uring on
+//! Linux, degrading per [`RuntimeKind::effective`], portable elsewhere);
+//! tests pin a backend through `UdpRack::start_with_runtime`.
 
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
@@ -61,51 +60,35 @@ pub const MAX_FRAME: usize = 4096;
 /// slab at 128 KiB.
 pub const DEFAULT_BATCH: usize = 32;
 
+/// Lower bound on a wait (don't busy-spin on an imminent deadline); also
+/// the portable backend's one sleep per idle [`SocketDriver::wait_group`].
+pub const MIN_WAIT: Duration = Duration::from_micros(50);
+
 /// Which event-loop backend a socket transport runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeKind {
-    /// io_uring: multishot `recvmsg` into provided buffer rings,
-    /// batched `sendmsg`/`sendmsg_zc` submission, one `io_uring_enter`
-    /// wait (Linux 6.0+; falls back to [`RuntimeKind::Batched`] on
-    /// kernels or sandboxes without the required opcodes).
+    /// io_uring: multishot `recvmsg` into provided buffer rings, one
+    /// `io_uring_enter` wait, `sendmmsg` sends (Linux 6.0+; falls back to
+    /// [`RuntimeKind::Batched`] on kernels or sandboxes without the
+    /// required opcodes).
     Uring,
     /// `ppoll` + `recvmmsg`/`sendmmsg` batched syscalls with
     /// `SO_REUSEPORT` socket sharding (Linux only; falls back to
     /// [`RuntimeKind::Portable`] elsewhere).
     Batched,
-    /// Plain `recv_from`/`send_to`, one datagram per call, cached read
-    /// timeouts. Works on every std platform.
+    /// Plain `recv_from`/`send_to`, one datagram per call. Works on every
+    /// std platform.
     Portable,
 }
 
 impl RuntimeKind {
-    /// Picks the backend: `NETCACHE_RUNTIME=portable|batched|uring`
-    /// wins, otherwise uring on Linux (degrading per
+    /// Picks the backend: uring on Linux (degrading per
     /// [`RuntimeKind::effective`]) and portable everywhere else.
     pub fn detect() -> RuntimeKind {
-        Self::detect_from(std::env::var("NETCACHE_RUNTIME").ok().as_deref())
-    }
-
-    /// [`RuntimeKind::detect`] with the environment override passed in,
-    /// so kind selection is a pure function CI can unit-test.
-    pub fn detect_from(var: Option<&str>) -> RuntimeKind {
-        if let Some(kind) = var.and_then(Self::from_name) {
-            return kind;
-        }
         if cfg!(target_os = "linux") {
             RuntimeKind::Uring
         } else {
             RuntimeKind::Portable
-        }
-    }
-
-    /// Parses a backend name as produced by [`RuntimeKind::name`].
-    pub fn from_name(name: &str) -> Option<RuntimeKind> {
-        match name {
-            "uring" => Some(RuntimeKind::Uring),
-            "batched" => Some(RuntimeKind::Batched),
-            "portable" => Some(RuntimeKind::Portable),
-            _ => None,
         }
     }
 
@@ -128,8 +111,8 @@ impl RuntimeKind {
         }
     }
 
-    /// Stable name for logs and reports; round-trips through
-    /// [`RuntimeKind::from_name`].
+    /// Stable name of the backend that will actually run, for logs and
+    /// reports.
     pub fn name(self) -> &'static str {
         match self.effective() {
             RuntimeKind::Uring => "uring",
@@ -150,9 +133,6 @@ pub struct IoOutcome {
     /// Completion-queue entries the call reaped (io_uring backend;
     /// zero elsewhere).
     pub cqes: u64,
-    /// Zero-copy send completions the call observed (io_uring backend;
-    /// zero elsewhere).
-    pub zerocopy: u64,
 }
 
 /// A registered receive ring: `slots` fixed [`MAX_FRAME`] buffers the
@@ -296,13 +276,12 @@ impl SendRing {
     }
 }
 
-/// The pluggable event-loop backend: readiness-driven batch receive and
-/// batch send over one UDP socket.
+/// The pluggable event-loop backend: batch receive and batch send over one
+/// UDP socket, and one wait over a socket set.
 ///
-/// The contract is deliberately completion-shaped so an io_uring backend
-/// can implement it by submitting the ring's buffers and reaping CQEs:
-/// callers never hold socket timeouts or per-frame state between calls —
-/// everything a call needs rides in the rings.
+/// The contract is completion-shaped so the io_uring backend implements
+/// it by reaping CQEs: callers never hold socket timeouts or per-frame
+/// state between calls — everything a call needs rides in the rings.
 pub trait SocketDriver: Send {
     /// The backend actually in use (`"uring"`, `"batched"` or
     /// `"portable"`).
@@ -311,7 +290,9 @@ pub trait SocketDriver: Send {
     /// Blocks until `sock` is readable or `timeout` elapses, then drains
     /// up to [`RecvRing::capacity`] datagrams without further blocking.
     /// Returns what was moved; `ring.len() == 0` means the wait timed
-    /// out (the idle wakeup still counts one syscall).
+    /// out (the idle wakeup still counts one syscall). A zero `timeout`
+    /// never blocks: the caller has already waited in
+    /// [`wait_group`](Self::wait_group).
     fn recv_batch(
         &mut self,
         sock: &UdpSocket,
@@ -325,20 +306,20 @@ pub trait SocketDriver: Send {
     /// the retransmission machinery above owns recovery.
     fn send_batch(&mut self, sock: &UdpSocket, ring: &mut SendRing) -> io::Result<IoOutcome>;
 
-    /// Completion-native multi-socket wait: drivers whose backend owns
-    /// readiness for a whole socket set (io_uring) wait here in one
-    /// kernel entry, append the indices of ready sockets to `ready`,
-    /// and return `true`. The default returns `false`, telling the
-    /// caller to fall back to [`wait_any`]'s poll.
+    /// Waits up to `timeout` for any of `socks` to become readable and
+    /// replaces the contents of `ready` with the indices of the sockets
+    /// worth a [`recv_batch`](Self::recv_batch) — the multi-socket face of
+    /// the event loop, for one thread hosting many endpoints (every switch
+    /// shard and storage server of a rack). One `io_uring_enter` on the
+    /// uring backend, one `ppoll` on batched; the portable backend cannot
+    /// poll a set through `std`, so it sleeps once for at most
+    /// [`MIN_WAIT`] and marks every socket ready.
     fn wait_group(
         &mut self,
         socks: &[&UdpSocket],
         timeout: Duration,
         ready: &mut Vec<usize>,
-    ) -> io::Result<bool> {
-        let _ = (socks, timeout, ready);
-        Ok(false)
-    }
+    ) -> io::Result<()>;
 }
 
 /// While held, the calling thread runs under the runtime's I/O
@@ -407,7 +388,7 @@ pub fn make_driver_group(kind: RuntimeKind, n: usize) -> Vec<Box<dyn SocketDrive
             .map(|_| Box::new(linux::BatchedDriver::new()) as Box<dyn SocketDriver>)
             .collect(),
         _ => (0..n)
-            .map(|_| Box::new(portable::PortableDriver::new()) as Box<dyn SocketDriver>)
+            .map(|_| Box::<portable::PortableDriver>::default() as Box<dyn SocketDriver>)
             .collect(),
     }
 }
@@ -423,32 +404,6 @@ pub fn uring_available() -> bool {
     {
         false
     }
-}
-
-/// Waits for readability across a whole set of sockets, appending the
-/// indices of ready ones to `ready` — the multi-socket face of the event
-/// loop, for one thread hosting many endpoints (e.g. every storage
-/// server of a rack). On the batched backend this is a single `ppoll`
-/// over the set. The portable backend cannot poll several sockets
-/// through `std` alone, so it marks *every* socket ready and the caller
-/// probes each with a sliced receive timeout (`timeout / socks.len()`),
-/// preserving the bounded-wait semantics at portable cost.
-pub fn wait_any(
-    socks: &[&UdpSocket],
-    timeout: Duration,
-    kind: RuntimeKind,
-    ready: &mut Vec<usize>,
-) -> io::Result<()> {
-    ready.clear();
-    #[cfg(target_os = "linux")]
-    if kind.effective() != RuntimeKind::Portable {
-        use std::os::unix::io::AsRawFd;
-        let fds: Vec<_> = socks.iter().map(|s| s.as_raw_fd()).collect();
-        return linux::wait_ready_many(&fds, timeout, ready);
-    }
-    let _ = (timeout, kind);
-    ready.extend(0..socks.len());
-    Ok(())
 }
 
 /// Binds `shards` loopback sockets sharing one address for a worker
@@ -497,8 +452,6 @@ pub struct TransportCounters {
     pub send_packets: AtomicU64,
     /// Non-empty completion-queue drains (io_uring backend).
     pub cqe_batches: AtomicU64,
-    /// Zero-copy send completions (io_uring backend).
-    pub zc_completions: AtomicU64,
     /// Datagrams per non-empty receive batch.
     pub batch_occupancy: ShardedHistogram,
     /// The [`RuntimeKind::name`] of the backend feeding these counters;
@@ -538,10 +491,6 @@ impl TransportCounters {
         if out.cqes > 0 {
             self.cqe_batches.fetch_add(1, Ordering::Relaxed);
         }
-        if out.zerocopy > 0 {
-            self.zc_completions
-                .fetch_add(out.zerocopy, Ordering::Relaxed);
-        }
     }
 
     /// Point-in-time snapshot of the counters.
@@ -553,7 +502,6 @@ impl TransportCounters {
             send_syscalls: self.send_syscalls.load(Ordering::Relaxed),
             send_packets: self.send_packets.load(Ordering::Relaxed),
             cqe_batches: self.cqe_batches.load(Ordering::Relaxed),
-            zc_completions: self.zc_completions.load(Ordering::Relaxed),
         }
     }
 
@@ -579,8 +527,6 @@ pub struct TransportStats {
     pub send_packets: u64,
     /// Non-empty completion-queue drains (io_uring backend).
     pub cqe_batches: u64,
-    /// Zero-copy send completions (io_uring backend).
-    pub zc_completions: u64,
 }
 
 impl Default for TransportStats {
@@ -592,7 +538,6 @@ impl Default for TransportStats {
             send_syscalls: 0,
             send_packets: 0,
             cqe_batches: 0,
-            zc_completions: 0,
         }
     }
 }
@@ -727,13 +672,34 @@ mod tests {
             RuntimeKind::Uring,
         ] {
             let mut driver = make_driver(kind);
-            let out = driver
-                .recv_batch(&a, &mut rx, Duration::from_millis(5))
-                .unwrap();
-            assert_eq!(out.packets, 0);
-            assert!(rx.is_empty());
-            assert!(out.syscalls >= 1, "the idle wakeup is accounted");
+            for timeout in [Duration::from_millis(5), Duration::ZERO] {
+                let out = driver.recv_batch(&a, &mut rx, timeout).unwrap();
+                assert_eq!(out.packets, 0);
+                assert!(rx.is_empty());
+                assert!(out.syscalls >= 1, "the idle wakeup is accounted");
+            }
         }
+    }
+
+    #[test]
+    fn portable_sweep_sets_nonblocking_mode_once() {
+        let (a, _b) = echo_pair();
+        let mut rx = RecvRing::new(4);
+        let mut driver = make_driver(RuntimeKind::Portable);
+        let mut sweep = |driver: &mut Box<dyn SocketDriver>| {
+            driver
+                .recv_batch(&a, &mut rx, Duration::ZERO)
+                .unwrap()
+                .syscalls
+        };
+        assert_eq!(sweep(&mut driver), 2, "first sweep sets the mode");
+        assert_eq!(sweep(&mut driver), 1, "later sweeps only probe");
+        // A blocking receive leaves the socket blocking; the next sweep
+        // must set the mode again rather than block.
+        driver
+            .recv_batch(&a, &mut RecvRing::new(4), Duration::from_millis(1))
+            .unwrap();
+        assert_eq!(sweep(&mut driver), 2, "mode restored after a wait");
     }
 
     #[test]
@@ -779,7 +745,6 @@ mod tests {
             packets: 8,
             syscalls: 2,
             cqes: 8,
-            zerocopy: 0,
         });
         c.note_recv(IoOutcome {
             packets: 0,
@@ -790,12 +755,10 @@ mod tests {
             packets: 8,
             syscalls: 1,
             cqes: 2,
-            zerocopy: 3,
         });
         let s = c.snapshot();
         assert_eq!(s.backend, "uring");
         assert_eq!(s.cqe_batches, 2, "only non-empty drains count");
-        assert_eq!(s.zc_completions, 3);
         assert_eq!(s.recv_packets, 8);
         assert_eq!(s.recv_syscalls, 3);
         assert_eq!(s.send_packets, 8);
@@ -808,52 +771,56 @@ mod tests {
     }
 
     #[test]
-    fn kind_detection_honors_env_override() {
-        // `detect_from` is the pure core of `detect`, so the env
-        // override is unit-testable without mutating process state.
-        assert_eq!(
-            RuntimeKind::detect_from(Some("portable")),
-            RuntimeKind::Portable
-        );
-        assert_eq!(
-            RuntimeKind::detect_from(Some("batched")),
-            RuntimeKind::Batched
-        );
-        assert_eq!(RuntimeKind::detect_from(Some("uring")), RuntimeKind::Uring);
-        let default = RuntimeKind::detect_from(None);
-        if cfg!(target_os = "linux") {
-            assert_eq!(default, RuntimeKind::Uring);
+    fn detect_picks_the_platform_backend() {
+        let (detected, batched) = if cfg!(target_os = "linux") {
+            (RuntimeKind::Uring, "batched")
         } else {
-            assert_eq!(default, RuntimeKind::Portable);
-        }
-        assert_eq!(
-            RuntimeKind::detect_from(Some("no-such-backend")),
-            default,
-            "unknown names fall through to platform detection"
-        );
-
+            (RuntimeKind::Portable, "portable")
+        };
+        assert_eq!(RuntimeKind::detect(), detected);
+        assert_eq!(RuntimeKind::Batched.name(), batched);
         assert_eq!(RuntimeKind::Portable.effective(), RuntimeKind::Portable);
         assert_eq!(RuntimeKind::Portable.name(), "portable");
-        if cfg!(target_os = "linux") {
-            assert_eq!(RuntimeKind::Batched.name(), "batched");
-        } else {
-            assert_eq!(RuntimeKind::Batched.name(), "portable");
-        }
     }
 
     #[test]
-    fn kind_name_round_trips_through_from_name() {
+    fn wait_group_finds_the_readable_socket() {
         for kind in [
-            RuntimeKind::Uring,
-            RuntimeKind::Batched,
             RuntimeKind::Portable,
+            RuntimeKind::Batched,
+            RuntimeKind::Uring,
         ] {
-            // `name()` reports the *effective* backend, so parsing it
-            // back lands on what actually runs — including a Uring that
-            // degraded to Batched on an incapable kernel.
-            assert_eq!(RuntimeKind::from_name(kind.name()), Some(kind.effective()));
+            let (tx, idle) = echo_pair();
+            let busy = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let socks = [&idle, &busy];
+            let mut driver = make_driver(kind);
+            let mut ready = vec![7];
+            driver
+                .wait_group(&socks, Duration::from_millis(5), &mut ready)
+                .unwrap();
+            assert!(
+                ready.iter().all(|&i| i < socks.len()),
+                "ready is replaced, not appended to ({})",
+                driver.backend()
+            );
+
+            tx.send_to(b"ping", busy.local_addr().unwrap()).unwrap();
+            let mut rx = RecvRing::new(4);
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            let mut got = 0;
+            while got == 0 && std::time::Instant::now() < deadline {
+                driver
+                    .wait_group(&socks, Duration::from_millis(100), &mut ready)
+                    .unwrap();
+                for &i in &ready {
+                    got += driver
+                        .recv_batch(socks[i], &mut rx, Duration::ZERO)
+                        .unwrap()
+                        .packets;
+                }
+            }
+            assert_eq!(got, 1, "the datagram arrives ({})", driver.backend());
         }
-        assert_eq!(RuntimeKind::from_name("none"), None);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The io_uring backend: multishot `recvmsg` into a registered
-//! provided-buffer ring, batched `sendmsg`/`sendmsg_zc` submission, and
-//! a single `io_uring_enter` wait in place of the `ppoll` readiness
-//! loop.
+//! provided-buffer ring and a single `io_uring_enter` wait in place of
+//! the `ppoll` readiness loop. Sends go through the batched backend.
 //!
 //! The workspace vendors no io_uring crate, so the entire syscall/ABI
 //! surface — `io_uring_setup`/`enter`/`register`, the SQ/CQ ring
@@ -23,17 +22,14 @@
 //!   module copies the payload out and recycles the buffer id to the
 //!   ring tail. The multishot re-arms itself until buffer exhaustion
 //!   (`-ENOBUFS`) or cancellation, at which point the next call re-arms.
-//! - **Send:** `send_batch` plans the same (destination, length)-sorted
-//!   UDP GSO coalescing as the batched backend, stages each message in a
-//!   stable boxed slot (the kernel reads the msghdr/iovec asynchronously),
-//!   and submits the whole flush with one `io_uring_enter`. Large
-//!   messages go out as `IORING_OP_SENDMSG_ZC` when the kernel advertises
-//!   it; the notification CQE (no `F_MORE`) both recycles the slot and
-//!   counts a zero-copy completion.
+//! - **Send:** `send_batch` reaps the completion queue, then hands the
+//!   flush to an embedded batched driver (`sendmmsg` with UDP GSO). A
+//!   ring send only pays once a flush is large enough for zero-copy
+//!   pinning to amortize, and on loopback none is (DESIGN.md §12).
 //! - **Fallback ladder:** [`available`] runs a full loopback round-trip
 //!   self-test once per process (setup + provided-buffer registration +
-//!   multishot recvmsg + sendmsg). Kernels or sandboxes that refuse any
-//!   step (old kernels, seccomp-filtered containers) degrade
+//!   multishot recvmsg + a `sendmmsg` send). Kernels or sandboxes that
+//!   refuse any step (old kernels, seccomp-filtered containers) degrade
 //!   `RuntimeKind::Uring` to `Batched` — and from there the existing
 //!   ladder continues to `Portable`.
 
@@ -47,7 +43,7 @@ use std::sync::atomic::{AtomicU16, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use super::linux::{gso_supported, BatchedDriver, GsoCmsg, IoVec, MsgHdr, SockaddrIn, Timespec};
+use super::linux::{BatchedDriver, MsgHdr, SockaddrIn, Timespec};
 use super::{IoOutcome, RecvRing, SendRing, SocketDriver};
 
 // --- syscall numbers (identical on x86_64 and aarch64) ---
@@ -70,17 +66,13 @@ const IORING_ENTER_GETEVENTS: u32 = 1 << 0;
 const IORING_ENTER_EXT_ARG: u32 = 1 << 3;
 
 // --- io_uring_register opcodes ---
-const IORING_REGISTER_PROBE: u32 = 8;
 const IORING_REGISTER_PBUF_RING: u32 = 22;
 
 // --- SQE opcodes and flags ---
-const IORING_OP_SENDMSG: u8 = 9;
 const IORING_OP_RECVMSG: u8 = 10;
-const IORING_OP_SENDMSG_ZC: u8 = 48;
 const IOSQE_BUFFER_SELECT: u8 = 1 << 5;
 /// `sqe.ioprio` flag: keep the recvmsg armed across completions.
 const IORING_RECV_MULTISHOT: u16 = 1 << 1;
-const IO_URING_OP_SUPPORTED: u16 = 1 << 0;
 
 // --- CQE flags ---
 const IORING_CQE_F_BUFFER: u32 = 1 << 0;
@@ -91,10 +83,7 @@ const IORING_CQE_BUFFER_SHIFT: u32 = 16;
 const EINTR: i32 = 4;
 const EAGAIN: i32 = 11;
 const EBUSY: i32 = 16;
-const EINVAL: i32 = 22;
 const ETIME: i32 = 62;
-const EOPNOTSUPP: i32 = 95;
-const ENOBUFS: i32 = 105;
 
 // --- mmap ---
 const PROT_READ: i32 = 1;
@@ -104,11 +93,11 @@ const MAP_PRIVATE: i32 = 2;
 const MAP_ANONYMOUS: i32 = 0x20;
 const MAP_POPULATE: i32 = 0x8000;
 
-/// Submission-queue depth: a whole send flush (≤ ring size messages)
-/// plus one multishot re-arm per hosted socket fits comfortably.
+/// Submission-queue depth: one multishot re-arm per hosted socket fits
+/// with room to spare.
 const SQ_ENTRIES: u32 = 256;
-/// Completion-queue depth: sends + notifications + a burst of multishot
-/// receives can all be outstanding at once.
+/// Completion-queue depth: a burst of multishot receives across every
+/// hosted socket can be outstanding at once.
 const CQ_ENTRIES: u32 = 1024;
 /// Provided receive buffers shared by every socket on the ring.
 const BUF_COUNT: usize = 128;
@@ -131,29 +120,6 @@ const MSG_CONTROLLEN: usize = 24;
 /// `setsockopt` level/name for receive-side GRO coalescing.
 const SOL_UDP: i32 = 17;
 const UDP_GRO: i32 = 104;
-/// In-flight send slots (boxed msghdr + staging buffer each).
-const MAX_SLOTS: usize = 256;
-/// Total queued bytes from which a flush goes through the ring
-/// (`SENDMSG`/`SENDMSG_ZC` SQEs) instead of the direct `sendmmsg` fast
-/// path. A measured loopback result, not a guess: for small batches the
-/// per-request ring lifecycle (SQE prep, async context, CQE post +
-/// reap) costs more than the one `sendmmsg` syscall it replaces, so the
-/// ring only pays once batches are big enough for zero-copy pinning to
-/// amortize.
-const RING_SEND_THRESHOLD: usize = 32 * 1024;
-/// Aggregate size from which a ring send uses `SENDMSG_ZC`: below this
-/// the pin/notify bookkeeping costs more than the copy it saves.
-const ZC_THRESHOLD: usize = 2048;
-/// Kernel limit on segments per GSO super-datagram (`UDP_MAX_SEGMENTS`).
-const MAX_GSO_SEGMENTS: usize = 64;
-/// Stay safely under the 65507-byte UDP payload ceiling.
-const MAX_GSO_BYTES: usize = 60_000;
-
-/// `cqe.user_data` tag: a multishot recvmsg (low bits carry the fd).
-const TAG_RECV: u64 = 1 << 56;
-/// `cqe.user_data` tag: a send (low bits carry the slot index).
-const TAG_SEND: u64 = 2 << 56;
-const TAG_MASK: u64 = 0xff << 56;
 
 #[repr(C)]
 #[derive(Clone, Copy)]
@@ -284,25 +250,6 @@ struct RecvmsgOut {
     flags: u32,
 }
 
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct ProbeOp {
-    op: u8,
-    resv: u8,
-    flags: u16,
-    resv2: u32,
-}
-
-/// `io_uring_register(PROBE)` result: supported-opcode bitmap.
-#[repr(C)]
-struct Probe {
-    last_op: u8,
-    ops_len: u8,
-    resv: u16,
-    resv2: [u32; 3],
-    ops: [ProbeOp; 64],
-}
-
 extern "C" {
     fn syscall(num: i64, ...) -> i64;
     fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
@@ -336,8 +283,6 @@ struct Ring {
     cqes: *const Cqe,
     /// SQEs queued but not yet consumed by an `enter`.
     pending_submit: u32,
-    /// Whether the kernel advertises `IORING_OP_SENDMSG_ZC`.
-    zc: bool,
 }
 
 impl Ring {
@@ -419,7 +364,6 @@ impl Ring {
                 cq_mask: *(ring_base.add(p.cq_off.ring_mask as usize) as *const u32),
                 cqes: ring_base.add(p.cq_off.cqes as usize) as *const Cqe,
                 pending_submit: 0,
-                zc: false,
             }
         };
         // Identity-map the SQ index array once: slot i always submits
@@ -430,27 +374,7 @@ impl Ring {
                 *array.add(i as usize) = i;
             }
         }
-        let mut ring = ring;
-        ring.zc = ring.probe_op(IORING_OP_SENDMSG_ZC);
         Ok(ring)
-    }
-
-    /// Whether `io_uring_register(PROBE)` reports `op` as supported.
-    fn probe_op(&self, op: u8) -> bool {
-        let mut probe: Probe = unsafe { mem::zeroed() };
-        let rc = unsafe {
-            syscall(
-                SYS_IO_URING_REGISTER,
-                self.fd as usize,
-                IORING_REGISTER_PROBE as usize,
-                &mut probe as *mut Probe as usize,
-                probe.ops.len(),
-            )
-        };
-        rc == 0
-            && probe.last_op >= op
-            && (probe.ops_len as usize) > op as usize
-            && probe.ops[op as usize].flags & IO_URING_OP_SUPPORTED != 0
     }
 
     /// Queues one SQE; submits eagerly (without waiting) if the
@@ -551,46 +475,6 @@ impl Drop for Ring {
     }
 }
 
-/// One in-flight send: the msghdr the kernel reads asynchronously plus
-/// everything it points at, boxed so the addresses survive `Vec` growth
-/// and outlive the submitting call.
-struct SendSlot {
-    addr: SockaddrIn,
-    iov: IoVec,
-    cmsg: GsoCmsg,
-    msg: MsgHdr,
-    buf: Vec<u8>,
-    /// Datagrams this message carries (GSO run length).
-    segs: u32,
-    /// Submitted as `SENDMSG_ZC`.
-    zc: bool,
-}
-
-impl SendSlot {
-    fn new() -> SendSlot {
-        SendSlot {
-            addr: SockaddrIn::zeroed(),
-            iov: IoVec {
-                base: ptr::null_mut(),
-                len: 0,
-            },
-            cmsg: GsoCmsg::new(0),
-            msg: MsgHdr {
-                name: ptr::null_mut(),
-                namelen: 0,
-                iov: ptr::null_mut(),
-                iovlen: 0,
-                control: ptr::null_mut(),
-                controllen: 0,
-                flags: 0,
-            },
-            buf: Vec::new(),
-            segs: 0,
-            zc: false,
-        }
-    }
-}
-
 /// One received datagram, parked in place inside the provided-buffer
 /// area until a `recv_batch` for its socket claims it.
 struct PendingSeg {
@@ -624,28 +508,15 @@ struct Core {
     /// Outstanding pending segments per provided buffer; the buffer is
     /// recycled to the kernel only when its count returns to zero.
     buf_refs: [u16; BUF_COUNT],
-    /// Send-slot scratch: in-flight SQEs hold raw pointers into a
-    /// slot's msghdr/iovec/sockaddr, so each slot is boxed to keep its
-    /// address stable while the `Vec` grows.
-    #[allow(clippy::vec_box)]
-    slots: Vec<Box<SendSlot>>,
-    free: Vec<usize>,
-    inflight_sends: usize,
     /// Syscalls/CQEs spent inside `wait_group`, folded into the next
     /// `recv_batch` outcome so the counters stay truthful.
     carry_syscalls: u64,
     carry_cqes: u64,
-    /// Zero-copy completions observed since last reported.
-    zc_done: u64,
-    /// Send-plan scratch: ring indices in (destination, length) order.
-    order: Vec<usize>,
-    /// Whether sends may coalesce into GSO super-datagrams.
-    gso: bool,
 }
 
 // The raw pointers all target mappings and boxed allocations owned by
-// this Core (ring mmaps, buffer-ring mmap, boxed msghdr/slots), so the
-// struct can move between threads; the surrounding Mutex serializes use.
+// this Core (ring mmaps, buffer-ring mmap, boxed msghdr), so the struct
+// can move between threads; the surrounding Mutex serializes use.
 unsafe impl Send for Core {}
 
 impl Core {
@@ -694,29 +565,14 @@ impl Core {
             buf_ring_map_len,
             buf_area: vec![0u8; BUF_COUNT * BUF_SIZE].into_boxed_slice(),
             buf_tail: 0,
-            msg_template: Box::new(MsgHdr {
-                name: ptr::null_mut(),
-                namelen: MSG_NAMELEN as u32,
-                iov: ptr::null_mut(),
-                iovlen: 0,
-                // The kernel reads only the *lengths* from a multishot
-                // template: `controllen` reserves room in the provided
-                // buffer for the `UDP_GRO` segment-size cmsg.
-                control: ptr::null_mut(),
-                controllen: MSG_CONTROLLEN,
-                flags: 0,
-            }),
+            // `controllen` reserves room in each provided buffer for the
+            // `UDP_GRO` segment-size cmsg.
+            msg_template: Box::new(MsgHdr::lengths_only(MSG_NAMELEN as u32, MSG_CONTROLLEN)),
             armed: HashSet::new(),
             pending: HashMap::new(),
             buf_refs: [0; BUF_COUNT],
-            slots: Vec::new(),
-            free: Vec::new(),
-            inflight_sends: 0,
             carry_syscalls: 0,
             carry_cqes: 0,
-            zc_done: 0,
-            order: Vec::new(),
-            gso: gso_supported(),
         };
         for bid in 0..BUF_COUNT as u16 {
             core.recycle(bid);
@@ -760,7 +616,7 @@ impl Core {
         sqe.fd = fd;
         sqe.addr = &*self.msg_template as *const MsgHdr as u64;
         sqe.len = 1;
-        sqe.user_data = TAG_RECV | fd as u32 as u64;
+        sqe.user_data = fd as u32 as u64;
         sqe.buf_group = 0;
         let syscalls = self.ring.push_sqe(sqe)?;
         self.armed.insert(fd);
@@ -786,55 +642,26 @@ impl Core {
         n
     }
 
+    /// Every SQE this module submits is a multishot recvmsg whose
+    /// `user_data` is the socket fd.
     fn process_cqe(&mut self, cqe: Cqe) {
-        match cqe.user_data & TAG_MASK {
-            TAG_RECV => {
-                let fd = (cqe.user_data & 0xffff_ffff) as RawFd;
-                if cqe.res >= 0 && cqe.flags & IORING_CQE_F_BUFFER != 0 {
-                    let bid = (cqe.flags >> IORING_CQE_BUFFER_SHIFT) as u16;
-                    let refs = self.harvest(fd, bid, cqe.res as usize);
-                    if refs == 0 {
-                        // Nothing usable in the buffer: hand it straight
-                        // back. Otherwise `copy_out` recycles it once
-                        // the last referencing segment is consumed.
-                        self.recycle(bid);
-                    } else {
-                        self.buf_refs[bid as usize] = refs;
-                    }
-                }
-                if cqe.flags & IORING_CQE_F_MORE == 0 {
-                    // Multishot retired (buffer exhaustion, -ENOBUFS, or
-                    // a transient error): the next call re-arms it.
-                    let _ = ENOBUFS;
-                    self.armed.remove(&fd);
-                }
+        let fd = cqe.user_data as RawFd;
+        if cqe.res >= 0 && cqe.flags & IORING_CQE_F_BUFFER != 0 {
+            let bid = (cqe.flags >> IORING_CQE_BUFFER_SHIFT) as u16;
+            let refs = self.harvest(fd, bid, cqe.res as usize);
+            if refs == 0 {
+                // Nothing usable in the buffer: hand it straight back.
+                // Otherwise `copy_out` recycles it once the last
+                // referencing segment is consumed.
+                self.recycle(bid);
+            } else {
+                self.buf_refs[bid as usize] = refs;
             }
-            TAG_SEND => {
-                if cqe.flags & IORING_CQE_F_MORE != 0 {
-                    // First CQE of a zero-copy pair: the kernel still
-                    // holds the pages; the notification frees the slot.
-                    return;
-                }
-                let idx = (cqe.user_data & 0xffff_ffff) as usize;
-                let slot = &mut self.slots[idx];
-                if slot.zc && cqe.res >= 0 {
-                    self.zc_done += 1;
-                }
-                if cqe.res < 0 {
-                    let e = -cqe.res;
-                    if slot.zc && (e == EINVAL || e == EOPNOTSUPP) {
-                        // Kernel took the probe but rejects real ZC
-                        // sends: never use it again.
-                        self.ring.zc = false;
-                    } else if slot.segs > 1 && e == EINVAL {
-                        // Same for GSO coalescing.
-                        self.gso = false;
-                    }
-                }
-                self.free.push(idx);
-                self.inflight_sends -= 1;
-            }
-            _ => {}
+        }
+        if cqe.flags & IORING_CQE_F_MORE == 0 {
+            // Multishot retired (buffer exhaustion, -ENOBUFS, or a
+            // transient error): the next call re-arms it.
+            self.armed.remove(&fd);
         }
     }
 
@@ -924,28 +751,11 @@ impl Core {
         got
     }
 
-    /// A free send slot, growing the pool up to [`MAX_SLOTS`]. `None`
-    /// means every slot is in flight (the caller reaps and retries).
-    fn alloc_slot(&mut self) -> Option<usize> {
-        if let Some(i) = self.free.pop() {
-            return Some(i);
-        }
-        if self.slots.len() < MAX_SLOTS {
-            self.slots.push(Box::new(SendSlot::new()));
-            return Some(self.slots.len() - 1);
-        }
-        None
-    }
-
     fn take_carry(&mut self) -> (u64, u64) {
         (
             mem::take(&mut self.carry_syscalls),
             mem::take(&mut self.carry_cqes),
         )
-    }
-
-    fn take_zc(&mut self) -> u64 {
-        mem::take(&mut self.zc_done)
     }
 }
 
@@ -958,13 +768,12 @@ impl Drop for Core {
 }
 
 /// One handle onto a shared ring [`Core`]. Handles from the same
-/// [`make_group`] share completions, buffers and send slots, so a host
-/// thread driving many sockets pays for one ring. Each handle also
-/// carries its own `sendmmsg` fast path: small flushes bypass the ring
-/// entirely (see [`RING_SEND_THRESHOLD`]).
+/// [`make_group`] share completions and buffers, so a host thread driving
+/// many sockets pays for one ring. Sends go through each handle's own
+/// batched driver.
 pub(crate) struct UringDriver {
     core: Arc<Mutex<Core>>,
-    fast_send: BatchedDriver,
+    send: BatchedDriver,
 }
 
 impl SocketDriver for UringDriver {
@@ -995,153 +804,24 @@ impl SocketDriver for UringDriver {
             syscalls += core.ring.enter(0, None)?;
         }
         let packets = core.copy_out(fd, ring);
-        let zerocopy = core.take_zc();
         Ok(IoOutcome {
             packets,
             syscalls,
             cqes,
-            zerocopy,
         })
     }
 
     fn send_batch(&mut self, sock: &UdpSocket, ring: &mut SendRing) -> io::Result<IoOutcome> {
-        let count = ring.len();
-        if count == 0 {
-            return Ok(IoOutcome::default());
-        }
-        let fd = sock.as_raw_fd();
-        let mut core = self.core.lock().unwrap();
-        let mut syscalls = 0u64;
-        let mut cqes = core.drain_cq();
-        // Small flushes take the direct `sendmmsg` path: one syscall,
-        // no SQE/CQE lifecycle. The ring send path only wins once the
-        // batch is big enough for `SENDMSG_ZC` pinning to amortize.
-        let queued: usize = (0..count).map(|i| ring.frame(i).0.len()).sum();
-        if !(core.ring.zc && queued >= RING_SEND_THRESHOLD) {
-            let zerocopy = core.take_zc();
-            drop(core);
-            let mut out = self.fast_send.send_batch(sock, ring)?;
-            out.cqes += cqes;
-            out.zerocopy += zerocopy;
-            return Ok(out);
-        }
-
-        // Same flush plan as the batched backend: (destination, length)
-        // order lets equal-size same-destination runs coalesce into one
-        // GSO super-datagram.
-        let mut order = mem::take(&mut core.order);
-        order.clear();
-        order.extend(0..count);
-        if core.gso {
-            order.sort_by(|&a, &b| {
-                let (fa, da) = ring.frame(a);
-                let (fb, db) = ring.frame(b);
-                (da, fa.len()).cmp(&(db, fb.len())).then(a.cmp(&b))
-            });
-        }
-        let mut packets = 0usize;
-        let mut i = 0usize;
-        while i < count {
-            let (first, dst) = ring.frame(order[i]);
-            let flen = first.len();
-            let mut j = i + 1;
-            if core.gso && flen > 0 {
-                while j < count && j - i < MAX_GSO_SEGMENTS && (j - i + 1) * flen <= MAX_GSO_BYTES {
-                    let (f, d) = ring.frame(order[j]);
-                    if d != dst || f.len() != flen {
-                        break;
-                    }
-                    j += 1;
-                }
-            }
-            let idx = loop {
-                if let Some(idx) = core.alloc_slot() {
-                    break Some(idx);
-                }
-                // Every slot in flight: reap, then wait briefly for one.
-                cqes += core.drain_cq();
-                if core.free.is_empty() && core.inflight_sends > 0 {
-                    syscalls += core.ring.enter(1, Some(Duration::from_millis(2)))?;
-                    cqes += core.drain_cq();
-                }
-                if core.free.is_empty() && core.slots.len() >= MAX_SLOTS {
-                    break None;
-                }
-            };
-            let Some(idx) = idx else {
-                // Persistent backpressure: drop the rest of the batch
-                // (UDP semantics; retransmission recovers).
-                break;
-            };
-            let SocketAddr::V4(dst) = dst else {
-                unreachable!("rack transports are IPv4-loopback only");
-            };
-            let segs = (j - i) as u32;
-            let zc;
-            {
-                let gso = core.gso;
-                let ring_zc = core.ring.zc;
-                let slot = &mut core.slots[idx];
-                slot.buf.clear();
-                for &k in &order[i..j] {
-                    let (f, _) = ring.frame(k);
-                    slot.buf.extend_from_slice(f);
-                }
-                slot.addr = SockaddrIn::from_addr(&dst);
-                slot.iov = IoVec {
-                    base: slot.buf.as_mut_ptr(),
-                    len: slot.buf.len(),
-                };
-                let (control, controllen): (*mut u8, usize) = if segs > 1 && gso {
-                    slot.cmsg = GsoCmsg::new(flen as u16);
-                    (
-                        (&mut slot.cmsg) as *mut GsoCmsg as *mut u8,
-                        mem::size_of::<GsoCmsg>(),
-                    )
-                } else {
-                    (ptr::null_mut(), 0)
-                };
-                slot.msg = MsgHdr {
-                    name: &mut slot.addr,
-                    namelen: mem::size_of::<SockaddrIn>() as u32,
-                    iov: &mut slot.iov,
-                    iovlen: 1,
-                    control,
-                    controllen,
-                    flags: 0,
-                };
-                slot.segs = segs;
-                zc = ring_zc && slot.buf.len() >= ZC_THRESHOLD;
-                slot.zc = zc;
-            }
-            let mut sqe = Sqe::zeroed();
-            sqe.opcode = if zc {
-                IORING_OP_SENDMSG_ZC
-            } else {
-                IORING_OP_SENDMSG
-            };
-            sqe.fd = fd;
-            sqe.addr = &core.slots[idx].msg as *const MsgHdr as u64;
-            sqe.len = 1;
-            sqe.user_data = TAG_SEND | idx as u64;
-            syscalls += core.ring.push_sqe(sqe)?;
-            core.inflight_sends += 1;
-            packets += segs as usize;
-            i = j;
-        }
-        core.order = order;
-        // One enter submits the whole flush; completions are reaped
-        // lazily on later calls.
-        syscalls += core.ring.enter(0, None)?;
-        cqes += core.drain_cq();
-        ring.clear();
-        let zerocopy = core.take_zc();
-        Ok(IoOutcome {
-            packets,
-            syscalls,
-            cqes,
-            zerocopy,
-        })
+        // Reap first so receive completions never back up behind a
+        // stream of sends.
+        let cqes = self
+            .core
+            .lock()
+            .expect("a uring handle panicked holding the ring")
+            .drain_cq();
+        let mut out = self.send.send_batch(sock, ring)?;
+        out.cqes += cqes;
+        Ok(out)
     }
 
     fn wait_group(
@@ -1149,7 +829,7 @@ impl SocketDriver for UringDriver {
         socks: &[&UdpSocket],
         timeout: Duration,
         ready: &mut Vec<usize>,
-    ) -> io::Result<bool> {
+    ) -> io::Result<()> {
         ready.clear();
         let mut core = self.core.lock().unwrap();
         let mut syscalls = 0u64;
@@ -1176,7 +856,7 @@ impl SocketDriver for UringDriver {
         }
         core.carry_syscalls += syscalls;
         core.carry_cqes += cqes;
-        Ok(true)
+        Ok(())
     }
 }
 
@@ -1189,7 +869,7 @@ pub(crate) fn make_group(n: usize) -> Option<Vec<Box<dyn SocketDriver>>> {
             .map(|_| {
                 Box::new(UringDriver {
                     core: core.clone(),
-                    fast_send: BatchedDriver::new(),
+                    send: BatchedDriver::new(),
                 }) as Box<dyn SocketDriver>
             })
             .collect(),
@@ -1198,7 +878,7 @@ pub(crate) fn make_group(n: usize) -> Option<Vec<Box<dyn SocketDriver>>> {
 
 /// Whether this kernel/sandbox supports everything the backend needs:
 /// one full loopback round-trip (ring setup, provided-buffer ring
-/// registration, multishot recvmsg, sendmsg submission) probed once per
+/// registration, multishot recvmsg, a `sendmmsg` send) probed once per
 /// process. Sandboxes that seccomp-filter `io_uring_setup` and kernels
 /// without the 6.0-era opcodes both fail here and degrade to batched.
 pub(crate) fn available() -> bool {
@@ -1250,8 +930,8 @@ mod tests {
     fn abi_layouts_match_the_kernel() {
         // Linux io_uring ABI: params 120 bytes (40 of offsets each for
         // SQ and CQ), SQE 64, CQE 16, provided-buffer entry 16,
-        // registration argument 40, enter ext-arg 24, recvmsg header 16,
-        // probe 16 + 64×8. A drift here means the kernel reads garbage.
+        // registration argument 40, enter ext-arg 24, recvmsg header 16.
+        // A drift here means the kernel reads garbage.
         assert_eq!(mem::size_of::<IoUringParams>(), 120);
         assert_eq!(mem::size_of::<SqringOffsets>(), 40);
         assert_eq!(mem::size_of::<CqringOffsets>(), 40);
@@ -1261,8 +941,6 @@ mod tests {
         assert_eq!(mem::size_of::<BufReg>(), 40);
         assert_eq!(mem::size_of::<GetEventsArg>(), 24);
         assert_eq!(mem::size_of::<RecvmsgOut>(), 16);
-        assert_eq!(mem::size_of::<ProbeOp>(), 8);
-        assert_eq!(mem::size_of::<Probe>(), 16 + 64 * 8);
 
         // Key SQE union offsets the kernel dereferences.
         let sqe = Sqe::zeroed();
@@ -1297,7 +975,7 @@ mod tests {
         }
         let sent = group[0].send_batch(&a, &mut tx).unwrap();
         assert_eq!(sent.packets, 5);
-        assert_eq!(sent.syscalls, 1, "one enter submits the whole flush");
+        assert_eq!(sent.syscalls, 1, "one sendmmsg moves the whole flush");
 
         // The second handle of the group sees the same ring: wait, then
         // drain with zero additional syscalls once CQEs are pending.
@@ -1307,9 +985,9 @@ mod tests {
         let mut got = 0;
         let mut rx = RecvRing::new(8);
         while got < 5 && std::time::Instant::now() < deadline {
-            assert!(group[1]
+            group[1]
                 .wait_group(&socks, Duration::from_millis(100), &mut ready)
-                .unwrap());
+                .unwrap();
             if ready.is_empty() {
                 continue;
             }

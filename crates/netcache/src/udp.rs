@@ -25,8 +25,8 @@
 //! binds a [`bind_sharded`] socket group — on Linux an `SO_REUSEPORT`
 //! group sharing one address, so the kernel shards flows across per-pipe
 //! queues — and the servers bind one socket each. All of those sockets
-//! are served by a *single* run-to-completion host thread: one `ppoll`
-//! ([`wait_any`]) covers the whole set, and each wakeup sweeps every
+//! are served by a *single* run-to-completion host thread: one
+//! [`SocketDriver::wait_group`] covers the whole set, and each wakeup sweeps every
 //! ready socket — switch shards run the data-plane program under a
 //! shared read lock (per-pipe serialization happens inside
 //! [`netcache_dataplane::NetCacheSwitch`]; see DESIGN.md §10), server
@@ -55,15 +55,13 @@ use crate::fabric::{
     RetryOutcome, RetryPolicy, WallClock,
 };
 use crate::runtime::{
-    bind_sharded, enter_io_scheduling, make_driver, make_driver_group, wait_any, RecvRing,
-    RuntimeKind, SendRing, SocketDriver, DEFAULT_BATCH,
+    bind_sharded, enter_io_scheduling, make_driver, make_driver_group, RecvRing, RuntimeKind,
+    SendRing, SocketDriver, DEFAULT_BATCH, MIN_WAIT,
 };
 
 /// Upper bound on an idle wait: long enough to sleep cheaply, short
 /// enough that shutdown and retransmission timers stay responsive.
 const RECV_TIMEOUT: Duration = Duration::from_millis(20);
-/// Lower bound on a wait (don't busy-spin on an imminent deadline).
-const MIN_WAIT: Duration = Duration::from_micros(50);
 /// How often the rack host sweeps agent retransmission timers.
 const TICK_EVERY_NS: u64 = 5_000_000;
 /// Upper bound on back-to-back run-to-completion sweeps before the rack
@@ -112,9 +110,9 @@ impl UdpRack {
         UdpRack::start_with_runtime(config, RuntimeKind::detect())
     }
 
-    /// Starts the rack on a specific runtime backend. The fabric
-    /// differential suite uses this to pin the batched and portable
-    /// event loops to identical rack outcomes.
+    /// Starts the rack on a specific runtime backend — the one way to pin
+    /// a backend; the differential, chaos and allocation suites run each
+    /// backend through it.
     pub fn start_with_runtime(
         config: RackConfig,
         runtime: RuntimeKind,
@@ -156,7 +154,7 @@ impl UdpRack {
         // the switch shards and every storage agent. Each node keeps its
         // own socket and address — every frame still crosses the
         // loopback network — but readiness is polled across the whole
-        // set with one `wait_any`, and after a sweep the host re-polls
+        // set with one `wait_group`, and after a sweep the host re-polls
         // without blocking: loopback delivers inline, so a request's
         // chained switch→server→switch legs complete within one visit
         // instead of threading through a scheduler hand-off per hop.
@@ -196,7 +194,9 @@ impl UdpRack {
                     shards.iter().chain(socks.iter().map(Arc::as_ref)).collect();
                 // One driver per socket; on the uring backend the whole
                 // group shares a single ring, so `wait_group` below is
-                // one `io_uring_enter` covering every socket.
+                // one `io_uring_enter` covering every socket. (Its
+                // multishot receives take datagrams off the sockets, so
+                // no other readiness test would see them.)
                 let mut drivers = make_driver_group(runtime, refs.len());
                 let mut rx = RecvRing::new(DEFAULT_BATCH);
                 let mut tx = SendRing::new(DEFAULT_BATCH);
@@ -230,20 +230,8 @@ impl UdpRack {
                         .map(|&(at, _, _)| Duration::from_nanos(at.saturating_sub(now)))
                         .min()
                         .map_or(RECV_TIMEOUT, |d| d.clamp(MIN_WAIT, RECV_TIMEOUT));
-                    // Completion-native backends (uring) wait on their
-                    // ring in one kernel entry; `Ok(false)` means the
-                    // driver has no group wait and the `ppoll`-based
-                    // `wait_any` covers the set. (The two are exclusive:
-                    // once a multishot recv is armed, datagrams land in
-                    // the ring's buffers and never show up as `POLLIN`.)
-                    match drivers[0].wait_group(&refs, wait, &mut ready) {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            if wait_any(&refs, wait, runtime, &mut ready).is_err() {
-                                continue;
-                            }
-                        }
-                        Err(_) => continue,
+                    if drivers[0].wait_group(&refs, wait, &mut ready).is_err() {
+                        continue;
                     }
                     // Run to completion: sweep every ready socket, then
                     // re-poll without blocking until the rack is quiet
@@ -253,28 +241,8 @@ impl UdpRack {
                         now = crate::fabric::Clock::now_ns(&clock);
                         let mut moved = 0usize;
                         for &i in &ready {
-                            // The portable backend cannot poll a set, so
-                            // `wait_any` marked everything ready and the
-                            // sweep waits on the sockets instead: the
-                            // full wait lands on shard 0 and the rest get
-                            // a short probe. Portable shards are clones of
-                            // one socket (one shared queue, one shared
-                            // read timeout), so shard 0 sees all switch
-                            // traffic and the other clones are skipped —
-                            // probing them would also alias the cached
-                            // timeout across their drivers.
-                            let portable = runtime.effective() == RuntimeKind::Portable;
-                            if portable && i > 0 && i < n_shards {
-                                continue;
-                            }
-                            let probe = if !portable {
-                                Duration::ZERO
-                            } else if passes == 0 && i == 0 {
-                                wait
-                            } else {
-                                MIN_WAIT
-                            };
-                            let Ok(got) = drivers[i].recv_batch(refs[i], &mut rx, probe) else {
+                            let Ok(got) = drivers[i].recv_batch(refs[i], &mut rx, Duration::ZERO)
+                            else {
                                 continue;
                             };
                             core.transport().note_recv(got);
@@ -362,15 +330,11 @@ impl UdpRack {
                         if moved == 0 || passes >= MAX_HOST_PASSES {
                             break;
                         }
-                        let more = match drivers[0].wait_group(&refs, Duration::ZERO, &mut ready) {
-                            Ok(true) => !ready.is_empty(),
-                            Ok(false) => {
-                                wait_any(&refs, Duration::ZERO, runtime, &mut ready).is_ok()
-                                    && !ready.is_empty()
-                            }
-                            Err(_) => false,
-                        };
-                        if !more {
+                        if drivers[0]
+                            .wait_group(&refs, Duration::ZERO, &mut ready)
+                            .is_err()
+                            || ready.is_empty()
+                        {
                             break;
                         }
                     }

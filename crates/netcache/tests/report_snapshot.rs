@@ -1,5 +1,5 @@
 //! Golden snapshot of [`RackReport::to_json`]: pins the
-//! `netcache-rack-report/v3` schema byte for byte, so any field rename,
+//! `netcache-rack-report/v4` schema byte for byte, so any field rename,
 //! reorder, or format change is a deliberate, reviewed schema bump — the
 //! bench harness and any external plotting scripts parse this output.
 //!
@@ -109,7 +109,6 @@ fn sample_report() -> RackReport {
             send_syscalls: 30,
             send_packets: 380,
             cqe_batches: 12,
-            zc_completions: 5,
         },
         batch_occupancy,
         replication: ReplicationReport {
@@ -123,7 +122,7 @@ fn sample_report() -> RackReport {
 
 /// The pinned golden output. Regenerate (and bump the schema version) only
 /// on a deliberate schema change.
-const GOLDEN: &str = "{\"schema\":\"netcache-rack-report/v3\",\
+const GOLDEN: &str = "{\"schema\":\"netcache-rack-report/v4\",\
 \"switch\":{\"packets\":120,\"netcache_packets\":100,\"cache_hits\":60,\
 \"invalid_hits\":5,\"cache_misses\":15,\"write_invalidations\":7,\
 \"updates_applied\":9,\"updates_ignored\":1,\"drops\":2,\
@@ -150,7 +149,7 @@ const GOLDEN: &str = "{\"schema\":\"netcache-rack-report/v3\",\
 \"recv_syscalls\":50,\"recv_packets\":400,\
 \"send_syscalls\":30,\"send_packets\":380,\
 \"syscalls_per_packet\":0.10256410256410256,\
-\"cqe_batches\":12,\"zerocopy_sends\":5,\
+\"cqe_batches\":12,\
 \"batch_occupancy\":{\"count\":4,\"min\":8,\"max\":32,\"sum\":64,\"mean\":16.0,\
 \"p50\":8,\"p90\":32,\"p99\":32,\"p999\":32,\
 \"buckets\":[[8,2],[16,1],[32,1]]}},\
@@ -164,7 +163,7 @@ fn rack_report_json_matches_golden_snapshot() {
     let json = sample_report().to_json();
     assert_eq!(
         json, GOLDEN,
-        "RackReport::to_json drifted from the pinned netcache-rack-report/v3 \
+        "RackReport::to_json drifted from the pinned netcache-rack-report/v4 \
          schema; if the change is intentional, update the golden snapshot \
          (and bump the schema version for field changes)"
     );
@@ -176,7 +175,7 @@ fn rack_report_json_round_trips_through_parser() {
     let parsed = Json::parse(&report.to_json()).expect("own output parses");
     assert_eq!(
         parsed.get("schema").and_then(Json::as_str),
-        Some("netcache-rack-report/v3")
+        Some("netcache-rack-report/v4")
     );
     let switch = parsed.get("switch").expect("switch section");
     assert_eq!(switch.get_u64("cache_hits"), Ok(60));
@@ -203,10 +202,6 @@ fn rack_report_json_round_trips_through_parser() {
     assert_eq!(
         transport.get_u64("cqe_batches"),
         Ok(report.transport.cqe_batches)
-    );
-    assert_eq!(
-        transport.get_u64("zerocopy_sends"),
-        Ok(report.transport.zc_completions)
     );
     assert_eq!(
         transport.get_finite("syscalls_per_packet"),

@@ -1,8 +1,9 @@
 //! The pin on the allocation-free packet path (DESIGN.md §16): once a rack
 //! is warm, a get — cached or not — allocates nothing anywhere between the
-//! client call and its reply, in process and over UDP, and a same-length
-//! put allocates nothing but amortised table growth. The switch hardware
-//! this models has no allocator on that path; neither does the model.
+//! client call and its reply, in process and over UDP on every socket
+//! backend, and a same-length put allocates nothing but amortised table
+//! growth. The switch hardware this models has no allocator on that path;
+//! neither does the model.
 //!
 //! A binary of its own with a single `#[test]`: the count is process-wide,
 //! so a second test running on another libtest thread would pollute it.
@@ -11,6 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use netcache::runtime::RuntimeKind;
 use netcache::udp::{PipelineOp, UdpRack};
 use netcache::{Rack, RackConfig, RackHandle};
 use netcache_proto::{Key, Value};
@@ -121,8 +123,23 @@ fn in_process_rack() {
     get(&mut client, uncached_key(0), false);
 }
 
-fn udp_rack() {
-    let rack = loaded(UdpRack::start(RackConfig::small(2)).expect("loopback rack"));
+/// The UDP leg, once per socket backend this kernel runs (a uring rack on a
+/// kernel without io_uring would silently be a second batched one).
+fn udp_racks() {
+    for kind in [
+        RuntimeKind::Uring,
+        RuntimeKind::Batched,
+        RuntimeKind::Portable,
+    ] {
+        if kind.effective() == kind {
+            udp_rack(kind);
+        }
+    }
+}
+
+fn udp_rack(kind: RuntimeKind) {
+    let rack =
+        loaded(UdpRack::start_with_runtime(RackConfig::small(2), kind).expect("loopback rack"));
     let mut client = rack.client(0);
     let ops: Vec<PipelineOp> = (0..OPS)
         .map(|i| {
@@ -144,7 +161,8 @@ fn udp_rack() {
     let allocs = allocs_during(|| run(&mut client));
     assert!(
         allocs <= 16,
-        "{OPS} pipelined gets allocated {allocs} times"
+        "{OPS} pipelined gets allocated {allocs} times on {}",
+        kind.name()
     );
     rack.stop();
 }
@@ -182,6 +200,6 @@ fn switch_program() {
 #[test]
 fn steady_state_requests_do_not_allocate() {
     in_process_rack();
-    udp_rack();
+    udp_racks();
     switch_program();
 }

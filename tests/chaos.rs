@@ -943,6 +943,13 @@ fn chaos_udp_uring_write_freshness() {
     chaos_udp_write_freshness(netcache::runtime::RuntimeKind::Uring, 1);
 }
 
+/// The portable leg: the fallback non-Linux builds get, whose host sweeps
+/// every socket without a readiness wait, under the same storm.
+#[test]
+fn chaos_udp_portable_write_freshness() {
+    chaos_udp_write_freshness(netcache::runtime::RuntimeKind::Portable, 2);
+}
+
 // ---------------------------------------------------------------------------
 // Recirculation chaos (size-mixed, OrbitCache direction): kill and restart
 // a replica with large values in flight — multi-pass recirculated items and
