@@ -21,7 +21,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::addressing::{Addressing, SWITCH_IP};
 use crate::config::RackConfig;
-use crate::fabric::engine::ClientCounters;
+use crate::fabric::client::ClientCounters;
 use crate::fabric::error::RackError;
 use crate::fault::NetworkModel;
 use crate::hist::{Histogram, ShardedHistogram};
@@ -234,6 +234,12 @@ impl FabricCore {
         self.op_latency.snapshot()
     }
 
+    /// The live op-latency histogram clients record into (what a
+    /// deployment's [`crate::fabric::Link::op_latency`] returns).
+    pub fn op_latency_recorder(&self) -> &ShardedHistogram {
+        &self.op_latency
+    }
+
     /// Snapshot of the switch per-packet service-time distribution.
     pub fn switch_service(&self) -> Histogram {
         self.switch_latency.snapshot()
@@ -272,7 +278,7 @@ impl FabricCore {
     /// are stored as one plain item under the base key; longer payloads
     /// are stored in the §2 chunked layout (manifest chunk under the base
     /// key, continuations under derived chunk keys), exactly as
-    /// [`crate::fabric::LargeValueOps::put_large`] would write them.
+    /// [`crate::fabric::Client::put_large`] would write them.
     pub fn load_dataset_with(&self, num_keys: u64, len_of: impl Fn(u64) -> usize) {
         let factor = self.config.replication_factor.max(1);
         let replicas = |key: &Key| {

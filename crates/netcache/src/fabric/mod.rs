@@ -13,10 +13,16 @@
 //!   dataset loading, and the control-plane glue (controller cycles,
 //!   cache population, reorganization, reboot) over the one shared
 //!   [`netcache_controller::ServerBackend`] implementation.
-//! - [`RequestEngine`] — the client retry/backoff state machine with
-//!   sequence matching and duplicate suppression, generic over [`Link`].
-//! - [`Link`] / [`Clock`] — the trait pair a transport implements:
-//!   inject a frame and collect replies, and read/advance time.
+//! - [`Client`] — the client library: query building, the retry/backoff
+//!   state machine with sequence matching and duplicate suppression,
+//!   large values and application keys, generic over [`Link`].
+//! - [`Link`] — what a transport implements for its clients: inject a
+//!   frame, let transport time pass while collecting replies, and name
+//!   the counters and latency histogram to account against.
+//!   [`Synchronous`] marks links whose transmit completes the exchange;
+//!   their clients also offer single-attempt requests.
+//! - [`EventQueue`] — the time-ordered queue the virtual-time drivers
+//!   schedule on.
 //! - [`RackHandle`] — the common read-side API (stats, latency
 //!   distributions, dataset and cache setup) that tests, benches and
 //!   [`crate::RackReport`] program against, whichever transport runs
@@ -28,30 +34,31 @@
 //!    and implement packet movement: deliver client frames to the switch
 //!    via [`FabricCore::with_switch`] or a read-locked
 //!    [`netcache_dataplane::NetCacheSwitch::process`], route switch
-//!    outputs by [`crate::Addressing::attachment`], and feed servers with
-//!    [`netcache_server::ServerAgent::handle_packet`].
-//! 2. Implement [`Link`] for the client's attachment (transmit +
-//!    bounded wait) and hand requests to [`RequestEngine::run`]; drive
-//!    server retransmission timers from your clock.
-//! 3. Route the packets returned by [`FabricCore::run_controller_cycle`]
-//!    and [`FabricCore::populate`] back into your network.
-//! 4. Implement [`RackHandle`] (one required method) and everything that
+//!    outputs by [`crate::Addressing::attachment`], feed servers with
+//!    [`netcache_server::ServerAgent::handle_packet`], and drive their
+//!    retransmission timers ([`netcache_server::ServerAgent::tick`]) from
+//!    your notion of time. Route the packets returned by
+//!    [`FabricCore::run_controller_cycle`] and [`FabricCore::populate`]
+//!    back into your network.
+//! 2. Implement [`Link`] for a client's attachment (transmit + bounded
+//!    wait, accounting against [`FabricCore::counters`] and
+//!    [`FabricCore::op_latency_recorder`]) and hand out
+//!    [`Client`]s over it, built with [`FabricCore::make_client`]. Mark
+//!    the link [`Synchronous`] if a transmit completes the exchange.
+//! 3. Implement [`RackHandle`] (two required methods) and everything that
 //!    reports, benches, and differential tests do works unchanged.
 
+pub mod client;
 pub mod core;
-pub mod drive;
-pub mod engine;
 pub mod error;
-pub mod large;
+pub mod queue;
 
-pub use self::core::{AgentTiming, FabricCore};
-pub use self::drive::RackDrive;
-pub use self::engine::{
-    ClientCounters, ClientResponse, Clock, Link, RequestEngine, RetryOutcome, RetryPolicy,
-    WallClock,
+pub use self::client::{
+    Client, ClientCounters, ClientResponse, Link, RetryOutcome, RetryPolicy, Synchronous,
 };
+pub use self::core::{AgentTiming, FabricCore};
 pub use self::error::RackError;
-pub use self::large::LargeValueOps;
+pub use self::queue::EventQueue;
 
 use std::sync::Arc;
 

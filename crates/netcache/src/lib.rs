@@ -54,8 +54,8 @@ pub mod udp;
 pub use addressing::Addressing;
 pub use config::RackConfig;
 pub use fabric::{
-    AgentTiming, ClientCounters, ClientResponse, Clock, FabricCore, LargeValueOps, Link, RackDrive,
-    RackError, RackHandle, RequestEngine, RetryOutcome, RetryPolicy, WallClock,
+    AgentTiming, Client, ClientCounters, ClientResponse, FabricCore, Link, RackError, RackHandle,
+    RetryOutcome, RetryPolicy, Synchronous,
 };
 pub use fault::{seed_from_env, FaultConfig, FaultInjector, FaultStats, NetworkModel};
 pub use hist::{Histogram, ShardedHistogram};

@@ -10,7 +10,7 @@
 //! The rack itself — switch, agents, controller, fault model, stats —
 //! comes from the shared [`FabricCore`]; this file contributes only the
 //! socket topology, the node threads, and a [`Link`] implementation so
-//! [`UdpClient`] runs the same request engine as the in-process rack.
+//! [`UdpClient`] is the same [`Client`] as the in-process rack's.
 //!
 //! All packet I/O goes through the [`crate::runtime`] event-loop layer:
 //! a [`SocketDriver`] moves whole batches of datagrams per syscall
@@ -37,6 +37,7 @@
 //! on a single core that is what closes most of the gap to the
 //! in-process rack (see DESIGN.md §12).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,16 +45,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use netcache_client::{NetCacheClient, Response};
+use netcache_client::Response;
 use netcache_dataplane::PortId;
 use netcache_proto::{Key, Packet, Value};
 use netcache_server::ServerAgent;
 
 use crate::config::RackConfig;
 use crate::fabric::{
-    AgentTiming, ClientResponse, FabricCore, Link, RackError, RackHandle, RequestEngine,
-    RetryOutcome, RetryPolicy, WallClock,
+    AgentTiming, Client, ClientCounters, ClientResponse, FabricCore, Link, RackError, RackHandle,
+    RetryPolicy,
 };
+use crate::hist::ShardedHistogram;
 use crate::runtime::{
     bind_sharded, enter_io_scheduling, make_driver, make_driver_group, RecvRing, RuntimeKind,
     SendRing, SocketDriver, DEFAULT_BATCH, MIN_WAIT,
@@ -188,7 +190,7 @@ impl UdpRack {
             let socks = server_sockets.clone();
             threads.push(spawn_thread("netcache-rack".into(), move || {
                 let _sched = enter_io_scheduling(runtime);
-                let clock = WallClock::start();
+                let start = Instant::now();
                 let n_shards = shards.len();
                 let refs: Vec<&UdpSocket> =
                     shards.iter().chain(socks.iter().map(Arc::as_ref)).collect();
@@ -207,7 +209,7 @@ impl UdpRack {
                 let mut ready: Vec<usize> = Vec::with_capacity(refs.len());
                 let mut last_tick = 0u64;
                 while !shutdown.load(Ordering::Relaxed) {
-                    let mut now = crate::fabric::Clock::now_ns(&clock);
+                    let mut now = start.elapsed().as_nanos() as u64;
                     // Mature fault-model deliveries (sent via shard 0:
                     // the shard group shares one source address).
                     let mut i = 0;
@@ -238,7 +240,7 @@ impl UdpRack {
                     // (bounded so a saturating client cannot pin us).
                     let mut passes = 0;
                     loop {
-                        now = crate::fabric::Clock::now_ns(&clock);
+                        now = start.elapsed().as_nanos() as u64;
                         let mut moved = 0usize;
                         for &i in &ready {
                             let Ok(got) = drivers[i].recv_batch(refs[i], &mut rx, Duration::ZERO)
@@ -397,19 +399,16 @@ impl UdpRack {
     ///
     /// Panics if `j` is out of range.
     pub fn client(&self, j: u32) -> UdpClient {
-        UdpClient {
+        let link = UdpLink {
             core: Arc::clone(&self.core),
             socket: Arc::clone(&self.client_sockets[j as usize]),
             switch_addr: self.switch_addr,
-            client: self.core.make_client(j),
-            policy: RetryPolicy::loopback(),
             runtime: self.runtime,
             driver: make_driver(self.runtime),
             rx: RecvRing::new(DEFAULT_BATCH),
             tx: SendRing::new(DEFAULT_BATCH),
-            retries: 0,
-            stale_replies: 0,
-        }
+        };
+        Client::new(link, self.core.make_client(j)).with_policy(RetryPolicy::loopback())
     }
 
     /// Stops all threads and joins them.
@@ -440,56 +439,76 @@ impl Drop for UdpRack {
     }
 }
 
-/// The UDP client's attachment: transmit serializes the frame into the
-/// transmit ring (`deparse_into`, no allocation) and flushes it to the
-/// switch; waiting drives batched receives on the client socket for up to
-/// the timeout, returning early once the wanted reply arrives.
-struct UdpLink<'a> {
-    core: &'a FabricCore,
-    socket: &'a UdpSocket,
+/// The UDP client's attachment: its socket, socket driver and buffer
+/// rings. Transmit serializes the frame into the transmit ring
+/// (`deparse_into`, no allocation) and flushes it to the switch; waiting
+/// drives batched receives on the client socket for up to the timeout,
+/// returning early once the wanted reply arrives.
+pub struct UdpLink {
+    core: Arc<FabricCore>,
+    socket: Arc<UdpSocket>,
     switch_addr: SocketAddr,
-    driver: &'a mut dyn SocketDriver,
-    rx: &'a mut RecvRing,
-    tx: &'a mut SendRing,
+    runtime: RuntimeKind,
+    driver: Box<dyn SocketDriver>,
+    rx: RecvRing,
+    tx: SendRing,
 }
 
-impl UdpLink<'_> {
-    fn drain_rx(&mut self, replies: &mut Vec<Packet>, want_seq: u32) -> bool {
+impl UdpLink {
+    /// Hands over every reply in the receive ring; true if one carried
+    /// `want_seq`.
+    fn drain_rx(&mut self, reply: &mut impl FnMut(Packet), want_seq: u32) -> bool {
         let mut done = false;
         for i in 0..self.rx.len() {
             let (frame, _) = self.rx.frame(i);
-            let Ok(reply) = Packet::parse(frame) else {
+            let Ok(pkt) = Packet::parse(frame) else {
                 continue;
             };
-            done |= reply.netcache.seq == want_seq;
-            replies.push(reply);
+            done |= pkt.netcache.seq == want_seq;
+            reply(pkt);
         }
         done
     }
+
+    /// Flushes the transmit ring to the switch.
+    fn flush(&mut self) {
+        flush(&self.core, self.driver.as_mut(), &self.socket, &mut self.tx);
+    }
 }
 
-impl Link for UdpLink<'_> {
-    fn transmit(&mut self, pkt: &Packet, _replies: &mut Vec<Packet>) {
+impl Link for UdpLink {
+    fn transmit(&mut self, pkt: Cow<'_, Packet>, _reply: impl FnMut(Packet)) {
         self.tx
             .push_with(self.switch_addr, |buf| pkt.deparse_into(buf));
-        flush(self.core, self.driver, self.socket, self.tx);
+        self.flush();
     }
 
-    fn wait(&mut self, timeout_ns: u64, want_seq: u32, replies: &mut Vec<Packet>) {
+    fn wait(&mut self, timeout_ns: u64, want_seq: u32, mut reply: impl FnMut(Packet)) {
         let deadline = Instant::now() + Duration::from_nanos(timeout_ns);
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return;
             }
-            let Ok(got) = self.driver.recv_batch(self.socket, self.rx, remaining) else {
+            let Ok(got) = self
+                .driver
+                .recv_batch(&self.socket, &mut self.rx, remaining)
+            else {
                 return;
             };
             self.core.transport().note_recv(got);
-            if self.drain_rx(replies, want_seq) {
+            if self.drain_rx(&mut reply, want_seq) {
                 return;
             }
         }
+    }
+
+    fn counters(&self) -> &ClientCounters {
+        self.core.counters()
+    }
+
+    fn op_latency(&self) -> &ShardedHistogram {
+        &self.core.op_latency
     }
 }
 
@@ -527,107 +546,37 @@ struct InFlight {
     started: Instant,
 }
 
-/// A blocking client over a real UDP socket, driven by the shared request
-/// engine: per-request retransmission with exponential backoff on the
-/// receive window, reply matching by sequence number, and duplicate/stale
-/// reply suppression. Defaults to [`RetryPolicy::loopback`].
+/// A blocking client over a real UDP socket: per-request retransmission
+/// with exponential backoff on the receive window, reply matching by
+/// sequence number, and duplicate/stale reply suppression. Defaults to
+/// [`RetryPolicy::loopback`].
 ///
-/// [`run_pipelined`](UdpClient::run_pipelined) additionally drives a
-/// sliding window of concurrent requests over the same socket — the mode
-/// that actually exercises the batched runtime (a single blocking
-/// round-trip has nothing to batch).
-pub struct UdpClient {
-    core: Arc<FabricCore>,
-    socket: Arc<UdpSocket>,
-    switch_addr: SocketAddr,
-    client: NetCacheClient,
-    policy: RetryPolicy,
-    runtime: RuntimeKind,
-    driver: Box<dyn SocketDriver>,
-    rx: RecvRing,
-    tx: SendRing,
-    retries: u64,
-    stale_replies: u64,
-}
+/// [`run_pipelined`](Client::run_pipelined) additionally drives a sliding
+/// window of concurrent requests over the same socket — the mode that
+/// actually exercises the batched runtime (a single blocking round-trip
+/// has nothing to batch).
+pub type UdpClient = Client<UdpLink>;
 
-impl UdpClient {
-    /// Sets the retransmission policy used by every request.
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    fn request_with_retry(&mut self, pkt: Packet) -> RetryOutcome {
-        let mut link = UdpLink {
-            core: &self.core,
-            socket: &self.socket,
-            switch_addr: self.switch_addr,
-            driver: self.driver.as_mut(),
-            rx: &mut self.rx,
-            tx: &mut self.tx,
-        };
-        let outcome = RequestEngine {
-            policy: &self.policy,
-            counters: self.core.counters(),
-            latency: &self.core.op_latency,
-        }
-        .run(&mut link, pkt);
-        self.retries += outcome.retries as u64;
-        self.stale_replies += outcome.stale_replies as u64;
-        outcome
-    }
-
-    fn request(&mut self, pkt: Packet) -> Option<Response> {
-        self.request_with_retry(pkt)
+impl Client<UdpLink> {
+    /// Reads `key`, retransmitting on loss.
+    pub fn get(&mut self, key: Key) -> Option<Response> {
+        self.get_with_retry(key)
             .response
             .map(ClientResponse::into_response)
     }
 
-    /// Retransmissions performed so far (attempts beyond the first send).
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Replies discarded as stale or duplicate.
-    pub fn stale_replies(&self) -> u64 {
-        self.stale_replies
-    }
-
-    /// Reads `key`, retransmitting on loss.
-    pub fn get(&mut self, key: Key) -> Option<Response> {
-        let pkt = self.client.get(key);
-        self.request(pkt)
-    }
-
-    /// Writes `value` under `key`.
+    /// Writes `value` under `key`, retransmitting on loss.
     pub fn put(&mut self, key: Key, value: Value) -> Option<Response> {
-        let pkt = self.client.put(key, value);
-        self.request(pkt)
+        self.put_with_retry(key, value)
+            .response
+            .map(ClientResponse::into_response)
     }
 
-    /// Deletes `key`.
+    /// Deletes `key`, retransmitting on loss.
     pub fn delete(&mut self, key: Key) -> Option<Response> {
-        let pkt = self.client.delete(key);
-        self.request(pkt)
-    }
-
-    /// Reads `key` under the retry policy, reporting retries and
-    /// suppressed replies.
-    pub fn get_with_retry(&mut self, key: Key) -> RetryOutcome {
-        let pkt = self.client.get(key);
-        self.request_with_retry(pkt)
-    }
-
-    /// Writes `value` under `key` under the retry policy.
-    pub fn put_with_retry(&mut self, key: Key, value: Value) -> RetryOutcome {
-        let pkt = self.client.put(key, value);
-        self.request_with_retry(pkt)
-    }
-
-    /// Deletes `key` under the retry policy.
-    pub fn delete_with_retry(&mut self, key: Key) -> RetryOutcome {
-        let pkt = self.client.delete(key);
-        self.request_with_retry(pkt)
+        self.delete_with_retry(key)
+            .response
+            .map(ClientResponse::into_response)
     }
 
     /// Issues `ops` with up to `window` requests in flight at once.
@@ -646,29 +595,31 @@ impl UdpClient {
         // return): without it, window-sized bursts degenerate into
         // one-datagram ping-pong whenever runnable threads outnumber
         // cores. See [`enter_io_scheduling`].
-        let _sched = enter_io_scheduling(self.runtime);
+        let _sched = enter_io_scheduling(self.link.runtime);
         let window = window.max(1);
         let mut report = PipelineReport::default();
         let mut inflight: HashMap<u32, InFlight> = HashMap::new();
         let mut next = 0usize;
         let mut expired: Vec<u32> = Vec::new();
-        let counters = self.core.counters();
+        let core = Arc::clone(&self.link.core);
+        let counters = core.counters();
         while next < ops.len() || !inflight.is_empty() {
             // Fill the window, serializing each frame straight into the
             // transmit ring; one flush sends the whole refill.
             while inflight.len() < window && next < ops.len() {
                 let pkt = match &ops[next] {
-                    PipelineOp::Get(key) => self.client.get(*key),
-                    PipelineOp::Put(key, value) => self.client.put(*key, value.clone()),
-                    PipelineOp::Delete(key) => self.client.delete(*key),
+                    PipelineOp::Get(key) => self.builder.get(*key),
+                    PipelineOp::Put(key, value) => self.builder.put(*key, value.clone()),
+                    PipelineOp::Delete(key) => self.builder.delete(*key),
                 };
                 next += 1;
                 let now = Instant::now();
-                if self.tx.is_full() {
-                    flush(&self.core, self.driver.as_mut(), &self.socket, &mut self.tx);
+                let link = &mut self.link;
+                if link.tx.is_full() {
+                    link.flush();
                 }
-                self.tx
-                    .push_with(self.switch_addr, |buf| pkt.deparse_into(buf));
+                link.tx
+                    .push_with(link.switch_addr, |buf| pkt.deparse_into(buf));
                 let seq = pkt.netcache.seq;
                 inflight.insert(
                     seq,
@@ -680,7 +631,7 @@ impl UdpClient {
                     },
                 );
             }
-            flush(&self.core, self.driver.as_mut(), &self.socket, &mut self.tx);
+            self.link.flush();
 
             // Sleep until the earliest per-request deadline (bounded so
             // a full window never waits past its first retransmission).
@@ -690,11 +641,12 @@ impl UdpClient {
                 .map(|r| r.deadline.saturating_duration_since(now))
                 .min()
                 .map_or(MIN_WAIT, |d| d.clamp(MIN_WAIT, RECV_TIMEOUT));
-            if let Ok(got) = self.driver.recv_batch(&self.socket, &mut self.rx, wait) {
-                self.core.transport().note_recv(got);
+            let link = &mut self.link;
+            if let Ok(got) = link.driver.recv_batch(&link.socket, &mut link.rx, wait) {
+                core.transport().note_recv(got);
             }
-            for i in 0..self.rx.len() {
-                let (frame, _) = self.rx.frame(i);
+            for i in 0..link.rx.len() {
+                let (frame, _) = link.rx.frame(i);
                 let Ok(reply) = Packet::parse(frame) else {
                     continue;
                 };
@@ -708,8 +660,7 @@ impl UdpClient {
                 let Some(response) = response else {
                     continue; // not a reply to our query; keep waiting
                 };
-                self.core
-                    .op_latency
+                core.op_latency
                     .record(entry.started.elapsed().as_nanos() as u64);
                 inflight.remove(&seq);
                 report.completed += 1;
@@ -746,35 +697,17 @@ impl UdpClient {
                     now + Duration::from_nanos(self.policy.timeout_ns(seq, entry.attempt));
                 report.retries += 1;
                 counters.retries.fetch_add(1, Ordering::Relaxed);
-                if self.tx.is_full() {
-                    flush(&self.core, self.driver.as_mut(), &self.socket, &mut self.tx);
+                let link = &mut self.link;
+                if link.tx.is_full() {
+                    link.flush();
                 }
                 let pkt = &entry.pkt;
-                self.tx
-                    .push_with(self.switch_addr, |buf| pkt.deparse_into(buf));
+                link.tx
+                    .push_with(link.switch_addr, |buf| pkt.deparse_into(buf));
             }
-            flush(&self.core, self.driver.as_mut(), &self.socket, &mut self.tx);
+            self.link.flush();
         }
-        self.retries += report.retries;
-        self.stale_replies += report.stale_replies;
         report
-    }
-}
-
-/// Large values (§2): single recirculated item up to `MAX_VALUE_LEN`,
-/// chunked fallback beyond it. Shared logic in
-/// [`crate::fabric::LargeValueOps`]; each constituent operation runs
-/// under the client's [`RetryPolicy`], so the composite survives loss
-/// the same way single-item operations do.
-impl crate::fabric::LargeValueOps for UdpClient {
-    fn kv_get(&mut self, key: Key) -> Option<ClientResponse> {
-        let pkt = self.client.get(key);
-        self.request_with_retry(pkt).response
-    }
-
-    fn kv_put(&mut self, key: Key, value: Value) -> Option<ClientResponse> {
-        let pkt = self.client.put(key, value);
-        self.request_with_retry(pkt).response
     }
 }
 

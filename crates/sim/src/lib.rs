@@ -23,15 +23,15 @@
 //!   routing.
 
 pub mod analytic;
-pub mod engine;
 pub mod multirack;
 pub mod rack_sim;
 
 pub use analytic::AnalyticModel;
-pub use engine::EventQueue;
 pub use multirack::{
     MultiRack, MultiRackClient, MultiRackConfig, MultiRackModel, MultiRackReport, ScaleOutScheme,
 };
+/// The discrete-event queue, shared with the in-process rack.
+pub use netcache::fabric::EventQueue;
 pub use rack_sim::{
-    rack_config_for, LatencyStats, RackSim, ScriptOp, SecondStats, SimConfig, SimReport,
+    rack_config_for, LatencyStats, RackSim, ScriptOp, SecondStats, SimClient, SimConfig, SimReport,
 };

@@ -19,8 +19,9 @@
 //! [`MultiRack`] is the deployed counterpart: a spine cache layer built
 //! from the *same* [`NetCacheSwitch`] program and [`Controller`] control
 //! loop fronting N in-process leaf racks (each a full
-//! [`netcache::Rack`], driven through the [`RackDrive`] fabric
-//! contract), with the three DistCache ingredients made concrete:
+//! [`netcache::Rack`], driven directly: packets injected with
+//! [`Rack::execute`], clocks moved with [`Rack::advance`]), with the three
+//! DistCache ingredients made concrete:
 //!
 //! - **independent hash functions per layer** — keys map to leaf racks
 //!   by one seeded [`Partitioner`] (`rack_seed`) and to spine switches
@@ -45,15 +46,16 @@
 //! while writes to it die unacknowledged and the repair pass evicts the
 //! entries it can no longer re-fetch.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use netcache::addressing::SERVER_IP_BASE;
 use netcache::{
-    ClientCounters, ClientResponse, FaultConfig, Link, Rack, RackDrive, RackError, RackHandle,
-    RequestEngine, RetryOutcome, RetryPolicy, ShardedHistogram,
+    Client, ClientCounters, FaultConfig, Link, Rack, RackError, RackHandle, ShardedHistogram,
+    Synchronous,
 };
-use netcache_client::{ClientConfig, NetCacheClient, Response};
+use netcache_client::{ClientConfig, NetCacheClient};
 use netcache_controller::{Controller, ControllerConfig, KeyHome, ServerBackend};
 use netcache_dataplane::{NetCacheSwitch, PortId, SwitchConfig, SwitchDriver};
 use netcache_proto::{Key, Op, Packet, Value};
@@ -627,7 +629,7 @@ impl MultiRack {
             if st.killed[r] {
                 continue;
             }
-            out.extend(RackDrive::drive_tick(rack));
+            out.extend(rack.tick());
         }
         out
     }
@@ -668,7 +670,7 @@ impl MultiRack {
             if st.killed[r] {
                 continue;
             }
-            out.extend(RackDrive::drive_controller(rack));
+            out.extend(rack.run_controller());
         }
         let now = self.now();
         let mut released = Vec::new();
@@ -693,15 +695,14 @@ impl MultiRack {
                 st.dead_drops += 1;
                 continue;
             }
-            out.extend(RackDrive::inject(&self.racks[r as usize], pkt, port));
+            out.extend(self.racks[r as usize].execute(pkt, port));
         }
         st.tor_window.fill(0);
         st.spine_window.fill(0);
         out
     }
 
-    /// Fabric-wide client retry/stale/abandoned counters (retry-path
-    /// clients only).
+    /// Fabric-wide client retry/stale/abandoned counters.
     pub fn client_counters(&self) -> &ClientCounters {
         &self.counters
     }
@@ -722,12 +723,7 @@ impl MultiRack {
         });
         let epoch = self.client_epochs.fetch_add(1, Ordering::Relaxed);
         client.start_seq_at(epoch.wrapping_shl(24) | 1);
-        MultiRackClient {
-            mr: self,
-            index: j,
-            client,
-            policy: RetryPolicy::default(),
-        }
+        Client::new(MultiRackLink { mr: self, index: j }, client)
     }
 
     /// Routes one client packet through the fabric and returns the
@@ -808,7 +804,7 @@ impl MultiRack {
         let rack = &self.racks[r as usize];
         let home = rack.addressing().home_of(&pkt.netcache.key);
         pkt.ipv4.dst = home.server_ip;
-        let out = RackDrive::inject(rack, pkt, rack.addressing().client_port(j));
+        let out = rack.execute(pkt, rack.addressing().client_port(j));
         out.into_iter()
             .filter_map(|(idx, p)| (idx == j).then_some(p))
             .collect()
@@ -926,100 +922,43 @@ impl ServerBackend for SpineBackend<'_> {
 /// The inter-rack client attachment: transmitting routes the packet
 /// through the spine layer and the leaf racks synchronously; waiting
 /// advances the fabric clock and fires retransmission timers.
-struct MultiRackLink<'a> {
+pub struct MultiRackLink<'a> {
     mr: &'a MultiRack,
     index: u32,
 }
 
 impl Link for MultiRackLink<'_> {
-    fn transmit(&mut self, pkt: &Packet, replies: &mut Vec<Packet>) {
-        replies.extend(self.mr.route(pkt.clone(), self.index));
-    }
-
-    fn wait(&mut self, timeout_ns: u64, _want_seq: u32, replies: &mut Vec<Packet>) {
-        self.mr.advance(timeout_ns);
-        replies.extend(
-            self.mr
-                .tick()
-                .into_iter()
-                .filter_map(|(j, pkt)| (j == self.index).then_some(pkt)),
-        );
-    }
-}
-
-/// A synchronous client handle over the whole fabric, mirroring
-/// [`netcache::RackClient`]: builds a query, routes it through the
-/// two-layer fabric, and returns the decoded reply.
-pub struct MultiRackClient<'a> {
-    mr: &'a MultiRack,
-    index: u32,
-    client: NetCacheClient,
-    policy: RetryPolicy,
-}
-
-impl MultiRackClient<'_> {
-    /// Sets the retransmission policy used by the `*_with_retry` methods.
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    fn run(&mut self, pkt: Packet) -> Option<ClientResponse> {
-        let replies = self.mr.route(pkt, self.index);
-        replies
+    fn transmit(&mut self, pkt: Cow<'_, Packet>, reply: impl FnMut(Packet)) {
+        self.mr
+            .route(pkt.into_owned(), self.index)
             .into_iter()
-            .find_map(|p| Response::from_packet(&p).map(ClientResponse::new))
+            .for_each(reply);
     }
 
-    fn run_with_retry(&mut self, pkt: Packet) -> RetryOutcome {
-        let mut link = MultiRackLink {
-            mr: self.mr,
-            index: self.index,
-        };
-        RequestEngine {
-            policy: &self.policy,
-            counters: &self.mr.counters,
-            latency: &self.mr.op_latency,
+    fn wait(&mut self, timeout_ns: u64, _want_seq: u32, mut reply: impl FnMut(Packet)) {
+        self.mr.advance(timeout_ns);
+        for (j, pkt) in self.mr.tick() {
+            if j == self.index {
+                reply(pkt);
+            }
         }
-        .run(&mut link, pkt)
     }
 
-    /// Reads `key`. `None` means the query (or its reply) was dropped.
-    pub fn get(&mut self, key: Key) -> Option<ClientResponse> {
-        let pkt = self.client.get(key);
-        self.run(pkt)
+    fn counters(&self) -> &ClientCounters {
+        &self.mr.counters
     }
 
-    /// Writes `value` under `key`.
-    pub fn put(&mut self, key: Key, value: Value) -> Option<ClientResponse> {
-        let pkt = self.client.put(key, value);
-        self.run(pkt)
-    }
-
-    /// Deletes `key`.
-    pub fn delete(&mut self, key: Key) -> Option<ClientResponse> {
-        let pkt = self.client.delete(key);
-        self.run(pkt)
-    }
-
-    /// Reads `key` under the retry policy.
-    pub fn get_with_retry(&mut self, key: Key) -> RetryOutcome {
-        let pkt = self.client.get(key);
-        self.run_with_retry(pkt)
-    }
-
-    /// Writes `value` under `key` under the retry policy.
-    pub fn put_with_retry(&mut self, key: Key, value: Value) -> RetryOutcome {
-        let pkt = self.client.put(key, value);
-        self.run_with_retry(pkt)
-    }
-
-    /// Deletes `key` under the retry policy.
-    pub fn delete_with_retry(&mut self, key: Key) -> RetryOutcome {
-        let pkt = self.client.delete(key);
-        self.run_with_retry(pkt)
+    fn op_latency(&self) -> &ShardedHistogram {
+        &self.mr.op_latency
     }
 }
+
+impl Synchronous for MultiRackLink<'_> {}
+
+/// A synchronous client over the whole fabric, the same [`Client`] as
+/// [`netcache::RackClient`]: builds a query, routes it through the
+/// two-layer fabric, and matches the reply by sequence number.
+pub type MultiRackClient<'a> = Client<MultiRackLink<'a>>;
 
 /// Load-distribution snapshot of a deployed [`MultiRack`], the scale-out
 /// analogue of [`netcache::RackReport`]. Serialized as
@@ -1118,6 +1057,7 @@ impl MultiRackReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netcache_client::Response;
 
     fn model() -> MultiRackModel {
         // Paper scale (128 servers/rack, 10 MQPS servers, 2 BQPS ToRs)

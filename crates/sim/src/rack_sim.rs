@@ -9,9 +9,10 @@
 //! them — ratios, not absolute numbers, are the observable.
 
 use netcache::addressing::Attachment;
+use netcache::fabric::EventQueue;
 use netcache::{
-    FabricCore, FaultConfig, FaultStats, Histogram, NetworkModel, Rack, RackConfig, RackError,
-    RackHandle,
+    Client, ClientCounters, ClientResponse, FabricCore, FaultConfig, FaultStats, Histogram, Link,
+    NetworkModel, Rack, RackConfig, RackError, RackHandle, ShardedHistogram, Synchronous,
 };
 use netcache_client::chunked;
 use netcache_client::{NetCacheClient, RateController, Response};
@@ -21,9 +22,8 @@ use netcache_proto::{Key, Op, Packet, Value};
 use netcache_workload::{DynamicWorkload, QueryMix, SizeMix, WriteSkew};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::borrow::Cow;
 use std::collections::HashMap;
-
-use crate::engine::EventQueue;
 
 /// Fixed latency components (nanoseconds), calibrated so the absolute
 /// numbers land near the paper's: 7 µs for a cache hit (client-dominated),
@@ -404,7 +404,7 @@ pub struct RackSim {
     mix: QueryMix,
     client: NetCacheClient,
     client_port: PortId,
-    // Scripted mode (see `run_script`): when set, replies delivered to
+    // Scripted requests (see `SimLink`): while set, replies delivered to
     // the client are also captured whole for decoding.
     capture_replies: bool,
     script_replies: Vec<Packet>,
@@ -413,6 +413,8 @@ pub struct RackSim {
     rng: StdRng,
     faults: NetworkModel,
     queue: EventQueue<Event>,
+    /// Simulation time: the timestamp of the last event popped.
+    now: u64,
     rate: RateController,
     // Server state.
     server_free_at: Vec<u64>,
@@ -540,6 +542,7 @@ impl RackSim {
             script_replies: Vec::new(),
             server_out: Vec::new(),
             queue: EventQueue::new(),
+            now: 0,
             rate,
             server_free_at: vec![0; config.servers as usize],
             server_pending: vec![0; config.servers as usize],
@@ -575,58 +578,75 @@ impl RackSim {
         &self.rack
     }
 
-    /// Runs a deterministic scripted workload through the full simulated
+    /// A scripted client: each request runs through the full simulated
     /// data path (real switch, latency-modelled links, rate-limited
-    /// servers), one operation at a time, returning the decoded reply of
-    /// each data operation. The cross-transport differential tests run
-    /// the same script on the in-process [`Rack`] and assert identical
-    /// logical outcomes.
+    /// servers) until the event queue is quiet. Every call starts a fresh
+    /// sequence-number epoch, so keep one per phase, not per request.
+    pub fn client(&mut self) -> SimClient<'_> {
+        let builder = self.rack.fabric().make_client(0);
+        Client::new(SimLink { sim: self }, builder)
+    }
+
+    /// Runs a deterministic scripted workload one operation at a time
+    /// through a [`RackSim::client`], returning the decoded single-attempt
+    /// reply of each data operation. The cross-transport differential
+    /// tests run the same script on the in-process [`Rack`] and assert
+    /// identical logical outcomes.
     pub fn run_script(&mut self, ops: &[ScriptOp]) -> Vec<Option<Response>> {
-        self.capture_replies = true;
+        let value_len = self.config.value_len;
+        let mut client = self.client();
         let mut results = Vec::new();
         for op in ops {
-            match *op {
-                ScriptOp::Get(id) => {
-                    let pkt = self.client.get(Key::from_u64(id));
-                    results.push(self.script_request(pkt));
-                }
+            let reply = match *op {
+                ScriptOp::Get(id) => client.get(Key::from_u64(id)),
                 ScriptOp::Put(id, fill) => {
-                    let value = Value::filled(fill, self.config.value_len);
-                    let pkt = self.client.put(Key::from_u64(id), value);
-                    results.push(self.script_request(pkt));
+                    client.put(Key::from_u64(id), Value::filled(fill, value_len))
                 }
-                ScriptOp::Delete(id) => {
-                    let pkt = self.client.delete(Key::from_u64(id));
-                    results.push(self.script_request(pkt));
-                }
+                ScriptOp::Delete(id) => client.delete(Key::from_u64(id)),
                 ScriptOp::Controller => {
-                    let now = self.queue.now();
-                    self.controller_cycle_at(now);
-                    self.drain();
+                    let sim = &mut *client.link_mut().sim;
+                    sim.controller_cycle_at(sim.now);
+                    sim.drain();
+                    continue;
                 }
                 ScriptOp::AdvanceMs(ms) => {
-                    let target = self.queue.now() + ms * 1_000_000;
-                    self.queue.schedule(target, Event::ScriptTick);
-                    self.drain();
+                    client.link_mut().sim.advance_script(ms * 1_000_000);
+                    continue;
                 }
-            }
+            };
+            results.push(reply.map(ClientResponse::into_response));
         }
-        self.capture_replies = false;
         results
     }
 
-    /// Injects one client packet at the switch, drains the event queue to
-    /// quiescence, and decodes the reply matching the request's sequence
-    /// number (retransmission-free: scripts run over a perfect network).
-    fn script_request(&mut self, pkt: Packet) -> Option<Response> {
-        let seq = pkt.netcache.seq;
-        self.script_replies.clear();
-        let now = self.queue.now();
-        let (switch_ns, out) = self.switch_process(pkt, self.client_port);
-        self.dispatch(now + self.config.latency.hop_ns + switch_ns, out);
+    /// Lets `ns` of simulated time pass in scripted mode: agent timers
+    /// fire at the end of it, and everything in flight runs to quiet.
+    fn advance_script(&mut self, ns: u64) {
+        self.schedule(self.now + ns, Event::ScriptTick);
         self.drain();
-        let reply = self.script_replies.iter().find(|p| p.netcache.seq == seq)?;
-        Response::from_packet(reply)
+    }
+
+    /// Runs `start` and then the event queue to quiet, handing the
+    /// client-bound replies to `reply`.
+    fn capture_into(&mut self, reply: impl FnMut(Packet), start: impl FnOnce(&mut Self)) {
+        self.capture_replies = true;
+        start(self);
+        self.drain();
+        self.capture_replies = false;
+        self.script_replies.drain(..).for_each(reply);
+    }
+
+    /// Schedules `event` at `at`, clamped to now: events cannot fire in
+    /// the simulated past.
+    fn schedule(&mut self, at: u64, event: Event) {
+        self.queue.push(at.max(self.now), event);
+    }
+
+    /// Pops the earliest event, advancing simulation time to it.
+    fn pop(&mut self) -> Option<(u64, Event)> {
+        let (at, event) = self.queue.pop()?;
+        self.now = at;
+        Some((at, event))
     }
 
     /// Processes one packet through the real switch, charging one
@@ -646,7 +666,7 @@ impl RackSim {
     /// Runs the event queue dry (scripted mode only: no periodic events
     /// reschedule themselves, so quiescence is reached).
     fn drain(&mut self) {
-        while let Some((now, event)) = self.queue.pop() {
+        while let Some((now, event)) = self.pop() {
             self.handle(now, event);
         }
     }
@@ -660,15 +680,14 @@ impl RackSim {
     pub fn run(mut self) -> SimReport {
         let interval_ns = self.config.rate_interval_ms * 1_000_000;
         let controller_ns = self.config.controller_interval_ms * 1_000_000;
-        self.queue.schedule(0, Event::ClientSend);
-        self.queue.schedule(interval_ns, Event::Interval);
-        self.queue.schedule(controller_ns, Event::ControllerCycle);
-        self.queue.schedule(1_000_000, Event::AgentTick);
+        self.schedule(0, Event::ClientSend);
+        self.schedule(interval_ns, Event::Interval);
+        self.schedule(controller_ns, Event::ControllerCycle);
+        self.schedule(1_000_000, Event::AgentTick);
         if let Some((_, period_s)) = self.config.dynamics {
-            self.queue
-                .schedule((period_s * 1e9) as u64, Event::WorkloadChange);
+            self.schedule((period_s * 1e9) as u64, Event::WorkloadChange);
         }
-        while let Some((now, event)) = self.queue.pop() {
+        while let Some((now, event)) = self.pop() {
             if now >= self.end_ns {
                 break;
             }
@@ -722,7 +741,7 @@ impl RackSim {
     fn on_client_send(&mut self, now: u64) {
         // Schedule the next arrival first (open loop).
         let next = now + self.exp_interarrival_ns(self.rate.rate());
-        self.queue.schedule(next, Event::ClientSend);
+        self.schedule(next, Event::ClientSend);
 
         let query = self.mix.sample(&mut self.rng);
         let id = query.key_id();
@@ -811,7 +830,7 @@ impl RackSim {
                 for (at, pkt) in self.link(pkt, now) {
                     let from_cache = pkt.netcache.op == Op::GetReplyHit;
                     let not_found = pkt.netcache.op == Op::GetReplyNotFound;
-                    self.queue.schedule(
+                    self.schedule(
                         at + self.config.latency.hop_ns,
                         Event::ClientRecv {
                             seq: pkt.netcache.seq,
@@ -859,7 +878,7 @@ impl RackSim {
                 // core (DPDK-style overlapped I/O).
                 self.server_free_at[s] = start + self.service_ns;
                 let finish = start + self.service_ns + self.config.latency.server_overhead_ns;
-                self.queue.schedule(
+                self.schedule(
                     finish,
                     Event::ServerComplete {
                         server,
@@ -987,7 +1006,7 @@ impl RackSim {
 
     fn on_interval(&mut self, now: u64) {
         let interval_ns = self.config.rate_interval_ms * 1_000_000;
-        self.queue.schedule(now + interval_ns, Event::Interval);
+        self.schedule(now + interval_ns, Event::Interval);
         if self.config.fixed_rate_qps.is_none() {
             self.rate
                 .on_interval(self.interval_sent, self.interval_recv);
@@ -1013,8 +1032,7 @@ impl RackSim {
 
     fn on_controller(&mut self, now: u64) {
         let controller_ns = self.config.controller_interval_ms * 1_000_000;
-        self.queue
-            .schedule(now + controller_ns, Event::ControllerCycle);
+        self.schedule(now + controller_ns, Event::ControllerCycle);
         self.controller_cycle_at(now);
     }
 
@@ -1032,7 +1050,7 @@ impl RackSim {
     }
 
     fn on_agent_tick(&mut self, now: u64) {
-        self.queue.schedule(now + 1_000_000, Event::AgentTick);
+        self.schedule(now + 1_000_000, Event::AgentTick);
         self.tick_agents(now);
     }
 
@@ -1047,8 +1065,7 @@ impl RackSim {
 
     fn on_workload_change(&mut self, now: u64) {
         if let Some((change, period_s)) = self.config.dynamics {
-            self.queue
-                .schedule(now + (period_s * 1e9) as u64, Event::WorkloadChange);
+            self.schedule(now + (period_s * 1e9) as u64, Event::WorkloadChange);
             self.mix.popularity_mut().apply(change, &mut self.rng);
         }
     }
@@ -1115,55 +1132,40 @@ impl RackHandle for RackSim {
     }
 }
 
-/// Large values (§2) through the full simulated data path: each
-/// constituent item is one scripted request over the latency-modelled
-/// links and rate-limited servers. Shared chunking/reassembly logic in
-/// [`netcache::LargeValueOps`] keeps the simulator byte-compatible with
-/// the in-process and UDP transports.
-impl netcache::LargeValueOps for RackSim {
-    fn kv_get(&mut self, key: Key) -> Option<netcache::ClientResponse> {
-        let pkt = self.client.get(key);
-        let prev = self.capture_replies;
-        self.capture_replies = true;
-        let resp = self.script_request(pkt);
-        self.capture_replies = prev;
-        resp.map(netcache::ClientResponse::new)
+/// The scripted client's attachment: transmitting injects the query at
+/// the switch and runs the simulation until it is quiet; waiting lets
+/// simulated time pass so agent timers fire. Scripts run over the sim's
+/// own latency-modelled links, so a transmit returns every reply the
+/// request will ever get.
+pub struct SimLink<'a> {
+    sim: &'a mut RackSim,
+}
+
+impl Link for SimLink<'_> {
+    fn transmit(&mut self, pkt: Cow<'_, Packet>, reply: impl FnMut(Packet)) {
+        self.sim.capture_into(reply, |sim| {
+            sim.send_packet(sim.now, pkt.into_owned());
+        });
     }
 
-    fn kv_put(&mut self, key: Key, value: Value) -> Option<netcache::ClientResponse> {
-        let pkt = self.client.put(key, value);
-        let prev = self.capture_replies;
-        self.capture_replies = true;
-        let resp = self.script_request(pkt);
-        self.capture_replies = prev;
-        resp.map(netcache::ClientResponse::new)
+    fn wait(&mut self, timeout_ns: u64, _want_seq: u32, reply: impl FnMut(Packet)) {
+        self.sim
+            .capture_into(reply, |sim| sim.advance_script(timeout_ns));
+    }
+
+    fn counters(&self) -> &ClientCounters {
+        self.sim.client_counters()
+    }
+
+    fn op_latency(&self) -> &ShardedHistogram {
+        self.sim.fabric().op_latency_recorder()
     }
 }
 
-/// The simulator can also be driven packet-at-a-time through the fabric
-/// contract (composition layers bypass the Poisson event loop and talk
-/// to the underlying rack directly, like the in-process deployment).
-impl netcache::RackDrive for RackSim {
-    fn inject(&self, pkt: Packet, in_port: PortId) -> Vec<(u32, Packet)> {
-        netcache::RackDrive::inject(&self.rack, pkt, in_port)
-    }
+impl Synchronous for SimLink<'_> {}
 
-    fn now_ns(&self) -> u64 {
-        netcache::RackDrive::now_ns(&self.rack)
-    }
-
-    fn advance_ns(&self, ns: u64) {
-        netcache::RackDrive::advance_ns(&self.rack, ns)
-    }
-
-    fn drive_tick(&self) -> Vec<(u32, Packet)> {
-        netcache::RackDrive::drive_tick(&self.rack)
-    }
-
-    fn drive_controller(&self) -> Vec<(u32, Packet)> {
-        netcache::RackDrive::drive_controller(&self.rack)
-    }
-}
+/// A scripted client of the simulator (see [`RackSim::client`]).
+pub type SimClient<'a> = Client<SimLink<'a>>;
 
 #[cfg(test)]
 mod tests {
@@ -1322,6 +1324,15 @@ mod tests {
             lossy.goodput_qps,
             clean.offered_qps
         );
+    }
+
+    #[test]
+    fn events_scheduled_in_the_past_fire_now() {
+        let mut sim = RackSim::new(base_config()).unwrap();
+        sim.schedule(10, Event::ScriptTick);
+        assert_eq!(sim.pop().map(|(at, _)| at), Some(10));
+        sim.schedule(5, Event::ScriptTick);
+        assert_eq!(sim.pop().map(|(at, _)| at), Some(10), "clamped to now");
     }
 
     #[test]

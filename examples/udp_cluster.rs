@@ -154,14 +154,15 @@ fn main() {
     );
     if loss > 0.0 {
         let f = rack.faults().stats();
+        let c = rack.client_counters();
         println!(
             "faults injected: {} dropped, {} duplicated, {} delayed; client: {} retransmissions, \
              {} duplicate replies suppressed",
             f.dropped,
             f.duplicated,
             f.delayed,
-            client.retries(),
-            client.stale_replies()
+            c.retries(),
+            c.stale_replies()
         );
     }
     rack.stop();

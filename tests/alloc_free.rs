@@ -1,8 +1,8 @@
 //! The pin on the allocation-free packet path (DESIGN.md §16): once a rack
-//! is warm, a get — cached or not — allocates nothing anywhere between the
-//! client call and its reply, in process and over UDP on every socket
-//! backend, and a same-length put allocates nothing but amortised table
-//! growth. The switch hardware this models has no allocator on that path;
+//! is warm, a get — cached or not, single-attempt or retrying, pipelined
+//! or one at a time — allocates nothing anywhere between the client call
+//! and its reply, in process and over UDP on every socket backend, and a
+//! same-length put allocates nothing but amortised table growth. The switch hardware this models has no allocator on that path;
 //! neither does the model.
 //!
 //! A binary of its own with a single `#[test]`: the count is process-wide,
@@ -115,6 +115,17 @@ fn in_process_rack() {
     assert_eq!(hits, 0, "{OPS} cached gets through RackClient");
     let misses = allocs_during(|| (0..OPS).for_each(|i| get(&mut client, uncached_key(i), false)));
     assert_eq!(misses, 0, "{OPS} uncached gets through RackClient");
+    let retried = allocs_during(|| {
+        for i in 0..OPS {
+            let out = client.get_with_retry(cached_key(i));
+            assert_eq!(out.retries, 0, "lossless rack");
+            assert!(out.response.is_some_and(|r| r.served_by_cache()));
+        }
+    });
+    assert!(
+        retried <= 16,
+        "{OPS} cached gets through get_with_retry allocated {retried} times"
+    );
     let puts = allocs_during(|| (0..OPS).for_each(|i| put(&mut client, i)));
     assert!(puts <= 8, "{OPS} same-length puts allocated {puts} times");
     // The puts went through: every cached key is valid again and served
@@ -162,6 +173,19 @@ fn udp_rack(kind: RuntimeKind) {
     assert!(
         allocs <= 16,
         "{OPS} pipelined gets allocated {allocs} times on {}",
+        kind.name()
+    );
+    // Window 1: the one-at-a-time get, retrying under the loopback policy.
+    let get_each = |client: &mut netcache::udp::UdpClient| {
+        for i in 0..OPS {
+            assert!(client.get(cached_key(i)).is_some(), "loopback get");
+        }
+    };
+    get_each(&mut client);
+    let allocs = allocs_during(|| get_each(&mut client));
+    assert!(
+        allocs <= 16,
+        "{OPS} window-1 gets allocated {allocs} times on {}",
         kind.name()
     );
     rack.stop();

@@ -13,10 +13,7 @@
 //! Every scenario is exactly reproducible: the fault sequence and the
 //! workload derive from one seed, adjustable via `NETCACHE_TEST_SEED`.
 
-use netcache::{
-    seed_from_env, FaultConfig, LargeValueOps, Rack, RackConfig, RackHandle, RackReport,
-    RetryPolicy,
-};
+use netcache::{seed_from_env, FaultConfig, Rack, RackConfig, RackHandle, RackReport, RetryPolicy};
 use netcache_client::Response;
 use netcache_proto::{Key, Value};
 use rand::rngs::StdRng;
@@ -1147,4 +1144,93 @@ fn chaos_large_values_deterministic_per_seed() {
     let a = run_large_value_scenario(seed, 0.05);
     let b = run_large_value_scenario(seed, 0.05);
     assert_eq!(a, b, "same seed must replay the same outcomes");
+}
+
+// ---------------------------------------------------------------------------
+// Single-attempt requests: a reply answers only the request it belongs to.
+// ---------------------------------------------------------------------------
+
+/// Keys the single-attempt legs read, one after another.
+const SINGLE_KEYS: u64 = 1_000;
+/// Single-attempt gets per leg.
+const SINGLE_GETS: u64 = 2_000;
+/// Virtual time between two gets: longer than any one link's delay, so a
+/// reply that missed its own request surfaces during a later one.
+const SINGLE_GAP_NS: u64 = 2_000_000;
+
+/// Every link crossing is delayed by up to 1 ms and nothing else goes
+/// wrong: no loss, no duplicates.
+fn delaying_faults() -> FaultConfig {
+    FaultConfig {
+        max_delay_ns: 1_000_000,
+        seed: seed_from_env(0x516e_61e5),
+        ..FaultConfig::default()
+    }
+}
+
+/// Reads keys `0, 1, 2, …` (mod [`SINGLE_KEYS`]) with one attempt each,
+/// calling `advance` after every get, and returns how many gets were
+/// answered and how many of those answers were for another key.
+fn single_attempt_replies(
+    mut get: impl FnMut(Key) -> Option<netcache::ClientResponse>,
+    advance: impl Fn(),
+) -> (u64, u64) {
+    let (mut answered, mut wrong) = (0, 0);
+    for i in 0..SINGLE_GETS {
+        let key = Key::from_u64(i % SINGLE_KEYS);
+        if let Some(resp) = get(key) {
+            answered += 1;
+            wrong += u64::from(resp.response().key() != key);
+        }
+        advance();
+    }
+    (answered, wrong)
+}
+
+/// A delayed reply must not answer the next request: a single-attempt
+/// get matches its reply by sequence number, like a retried one, and
+/// suppresses the earlier request's late reply as stale.
+#[test]
+fn single_attempt_get_answers_only_its_own_request() {
+    use netcache_sim::{MultiRack, MultiRackConfig};
+
+    let mut config = RackConfig::small(4);
+    config.faults = delaying_faults();
+    let rack = Rack::new(config).expect("valid config");
+    rack.load_dataset(SINGLE_KEYS, 8);
+    let mut client = rack.client(0);
+    let (answered, wrong) =
+        single_attempt_replies(|key| client.get(key), || rack.advance(SINGLE_GAP_NS));
+    assert_eq!(
+        wrong, 0,
+        "rack: {wrong} of {answered} single-attempt replies were for another key"
+    );
+    assert!(
+        rack.client_counters().stale_replies() > 0,
+        "rack: the late replies never reached the client"
+    );
+
+    let mr = MultiRack::new(MultiRackConfig {
+        racks: 2,
+        spines: 1,
+        servers_per_rack: 4,
+        num_keys: SINGLE_KEYS,
+        value_len: 8,
+        leaf_cache_items: 8,
+        spine_cache_items: 8,
+        faults: delaying_faults(),
+        ..MultiRackConfig::default()
+    })
+    .expect("valid multirack config");
+    let mut client = mr.client(0);
+    let (answered, wrong) =
+        single_attempt_replies(|key| client.get(key), || mr.advance(SINGLE_GAP_NS));
+    assert_eq!(
+        wrong, 0,
+        "multirack: {wrong} of {answered} single-attempt replies were for another key"
+    );
+    assert!(
+        mr.client_counters().stale_replies() > 0,
+        "multirack: the late replies never reached the client"
+    );
 }

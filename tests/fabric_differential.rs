@@ -387,7 +387,6 @@ fn udp_matches_in_process_outcomes() {
 /// recirculation once the controller admits the heavily read base keys.
 #[test]
 fn large_values_agree_across_all_three_transports() {
-    use netcache::LargeValueOps;
     use netcache_sim::ScriptOp;
     use std::collections::HashMap;
 
@@ -433,13 +432,17 @@ fn large_values_agree_across_all_three_transports() {
 
     // Phase 1: write one item per size class on every transport.
     let mut model: HashMap<usize, Vec<u8>> = HashMap::new();
+    let mut sim_client = sim.client();
     for (i, &len) in SIZES.iter().enumerate() {
         let p = payload(i, len);
         assert!(
             rack_client.put_large(base_key(i), &p).is_some(),
             "rack put {len}"
         );
-        assert!(sim.put_large(base_key(i), &p).is_some(), "sim put {len}");
+        assert!(
+            sim_client.put_large(base_key(i), &p).is_some(),
+            "sim put {len}"
+        );
         assert!(
             udp_client.put_large(base_key(i), &p).is_some(),
             "udp put {len}"
@@ -450,10 +453,11 @@ fn large_values_agree_across_all_three_transports() {
     // Phase 2: heat the base keys past the heavy-hitter threshold, then
     // run controller cycles so the size-aware admission installs them
     // (multi-pass slots for everything above one pass's worth).
+    let mut sim_client = sim.client();
     for _ in 0..70 {
         for i in 0..SIZES.len() {
             assert!(rack_client.get_large(base_key(i)).is_some());
-            assert!(sim.get_large(base_key(i)).is_some());
+            assert!(sim_client.get_large(base_key(i)).is_some());
             assert!(udp_client.get_large(base_key(i)).is_some());
         }
     }
@@ -472,9 +476,10 @@ fn large_values_agree_across_all_three_transports() {
     // sim, and actual recirculated service.
     let recirc_before = rack.switch_stats().recirculations;
     let mut any_fully_cached = false;
+    let mut sim_client = sim.client();
     for (i, &len) in SIZES.iter().enumerate() {
         let rack_read = rack_client.get_large(base_key(i)).expect("rack read");
-        let sim_read = sim.get_large(base_key(i)).expect("sim read");
+        let sim_read = sim_client.get_large(base_key(i)).expect("sim read");
         let udp_read = udp_client.get_large(base_key(i)).expect("udp read");
         assert_eq!(&rack_read.0, &model[&i], "rack bytes, size {len}");
         assert_eq!(
@@ -505,17 +510,18 @@ fn large_values_agree_across_all_three_transports() {
     // Phase 4: overwrite every key with a different size class (shrinks
     // and grows, crossing the single-item/chunked boundary both ways),
     // then re-read everywhere.
+    let mut sim_client = sim.client();
     for i in 0..SIZES.len() {
         let len = SIZES[(i + 3) % SIZES.len()];
         let p = payload(100 + i, len);
         assert!(rack_client.put_large(base_key(i), &p).is_some());
-        assert!(sim.put_large(base_key(i), &p).is_some());
+        assert!(sim_client.put_large(base_key(i), &p).is_some());
         assert!(udp_client.put_large(base_key(i), &p).is_some());
         model.insert(i, p);
     }
     for i in 0..SIZES.len() {
         let rack_read = rack_client.get_large(base_key(i)).expect("rack reread");
-        let sim_read = sim.get_large(base_key(i)).expect("sim reread");
+        let sim_read = sim_client.get_large(base_key(i)).expect("sim reread");
         let udp_read = udp_client.get_large(base_key(i)).expect("udp reread");
         assert_eq!(
             &rack_read.0, &model[&i],

@@ -7,7 +7,7 @@
 //! recirculated cached path, overwrite interleavings, and a differential
 //! against server ground truth under seeded network faults.
 
-use netcache::{seed_from_env, FaultConfig, LargeValueOps, Rack, RackConfig, RackHandle};
+use netcache::{seed_from_env, FaultConfig, Rack, RackConfig, RackHandle};
 use netcache_client::chunked::{self, FIRST_CHUNK_PAYLOAD, MAX_LARGE_LEN};
 use netcache_proto::{Key, MAX_VALUE_LEN};
 use proptest::prelude::*;
