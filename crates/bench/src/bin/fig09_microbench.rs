@@ -19,7 +19,7 @@ use std::time::Instant;
 use netcache::json::fmt_f64;
 use netcache_bench::scenario::{fig_json, parse_cli, write_json_file};
 use netcache_bench::{banner, fmt_qps};
-use netcache_dataplane::{LookupEntry, NetCacheSwitch, SwitchConfig, SwitchDriver};
+use netcache_dataplane::{LookupEntry, NetCacheSwitch, SwitchConfig};
 use netcache_proto::{Key, Packet, Value};
 
 const CLIENT_IP: u32 = 0x0a00_0001;
@@ -51,8 +51,7 @@ fn build_switch(items: usize, value_len: usize) -> NetCacheSwitch {
             },
         )
         .expect("capacity suffices");
-        sw.install_value_len(0, i as u32, value_len as u16);
-        sw.install_status(0, i as u32, 1);
+        sw.install_status(0, i as u32, 1, value_len as u16);
     }
     sw
 }

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use netcache_dataplane::{HotReport, LookupEntry, SwitchDriver};
+use netcache_dataplane::{HotReport, LookupEntry, NetCacheSwitch};
 use netcache_proto::{Key, Value};
 
 use crate::alloc::{SlotAllocator, SlotAssignment};
@@ -314,31 +314,34 @@ impl Controller {
         self.chains.as_ref()
     }
 
-    /// Installs every partition's current chain hop list in the switch.
-    /// Also used after a switch reboot to restore the chain tables.
-    pub fn install_chains<D: SwitchDriver>(&self, driver: &mut D) {
+    /// Installs every partition's current chain hop list in the switch. A
+    /// switch reboot keeps the chain table, so calling this after one
+    /// rewrites the same chains.
+    pub fn install_chains(&self, driver: &mut NetCacheSwitch) {
         let Some(cm) = &self.chains else {
             return;
         };
         for p in 0..cm.servers() {
-            match Self::hops_of(cm, p) {
-                hops if hops.is_empty() => driver.clear_chain(cm.home_ip(p)),
-                hops => driver.set_chain(cm.home_ip(p), hops),
-            }
+            Self::push_chain(cm, driver, p);
         }
     }
 
-    fn hops_of(cm: &ChainManager, partition: u32) -> Vec<ChainHop> {
-        cm.chain(partition)
+    /// Installs `partition`'s current hop list in the switch, clearing the
+    /// chain of a partition with no live member.
+    fn push_chain(cm: &ChainManager, driver: &mut NetCacheSwitch, partition: u32) {
+        let hops: Vec<ChainHop> = cm
+            .chain(partition)
             .iter()
-            .map(|&n| {
-                let a = cm.node(n);
-                ChainHop {
-                    ip: a.ip,
-                    port: a.port,
-                }
+            .map(|&n| ChainHop {
+                ip: cm.node(n).ip,
+                port: cm.node(n).port,
             })
-            .collect()
+            .collect();
+        if hops.is_empty() {
+            driver.clear_chain(cm.home_ip(partition));
+        } else {
+            driver.set_chain(cm.home_ip(partition), hops);
+        }
     }
 
     /// Where the cacheable copy of `key` lives: the partition's home in an
@@ -372,9 +375,9 @@ impl Controller {
     /// repairing availability cannot wait behind cache churn.
     ///
     /// Returns the number of partitions whose chain changed.
-    pub fn repair_chains<D: SwitchDriver, B: ServerBackend>(
+    pub fn repair_chains<B: ServerBackend>(
         &mut self,
-        driver: &mut D,
+        driver: &mut NetCacheSwitch,
         backend: &mut B,
     ) -> usize {
         let Some(cm) = &mut self.chains else {
@@ -388,10 +391,7 @@ impl Controller {
         }
         let cm = self.chains.as_ref().expect("checked above");
         for &p in &outcome.changed {
-            match Self::hops_of(cm, p) {
-                hops if hops.is_empty() => driver.clear_chain(cm.home_ip(p)),
-                hops => driver.set_chain(cm.home_ip(p), hops),
-            }
+            Self::push_chain(cm, driver, p);
         }
         if !outcome.tail_changed.is_empty() {
             let mut affected: Vec<Key> = self
@@ -412,9 +412,9 @@ impl Controller {
     /// reports, update the cache, repair entries left invalid by abandoned
     /// or disabled data-plane updates, and reset statistics if the reset
     /// interval elapsed.
-    pub fn run_cycle<D: SwitchDriver, B: ServerBackend>(
+    pub fn run_cycle<B: ServerBackend>(
         &mut self,
-        driver: &mut D,
+        driver: &mut NetCacheSwitch,
         backend: &mut B,
         now_ns: u64,
     ) {
@@ -443,9 +443,9 @@ impl Controller {
     /// (data-plane updates disabled). Repairs consume control-plane update
     /// budget — this is exactly why the paper prefers data-plane updates
     /// ("much faster than control plane updates", §4.3).
-    pub fn repair_invalid<D: SwitchDriver, B: ServerBackend>(
+    pub fn repair_invalid<B: ServerBackend>(
         &mut self,
-        driver: &mut D,
+        driver: &mut NetCacheSwitch,
         backend: &mut B,
         now_ns: u64,
     ) -> usize {
@@ -466,19 +466,14 @@ impl Controller {
             if !self.budget_allows(now_ns, 2 + u64::from(meta.slot.passes.max(1))) {
                 break;
             }
-            let arrays = self.allocators[meta.home.pipe].arrays();
+            let (pipe, slot) = (meta.home.pipe, meta.slot);
+            let arrays = self.allocators[pipe].arrays();
             backend.lock_writes(&meta.home, key);
             match backend.fetch(&meta.home, &key) {
-                Some((value, version)) if value.units() <= meta.slot.units(arrays) => {
-                    driver.write_value(
-                        meta.home.pipe,
-                        meta.slot.bitmap,
-                        meta.slot.index,
-                        meta.slot.passes,
-                        &value,
-                    );
-                    driver.install_value_len(meta.home.pipe, meta.key_index, value.len() as u16);
-                    driver.install_status(meta.home.pipe, meta.key_index, version.max(1));
+                Some((value, version)) if value.units() <= slot.units(arrays) => {
+                    driver.write_value(pipe, slot.bitmap, slot.index, slot.passes, &value);
+                    let len = value.len() as u16;
+                    driver.install_status(pipe, meta.key_index, version.max(1), len);
                     repaired += 1;
                     backend.unlock_writes(&meta.home, key);
                 }
@@ -495,7 +490,7 @@ impl Controller {
     }
 
     /// Periodic statistics reset, honoring the configured interval.
-    pub fn maybe_reset_stats<D: SwitchDriver>(&mut self, driver: &mut D, now_ns: u64) {
+    pub fn maybe_reset_stats(&mut self, driver: &mut NetCacheSwitch, now_ns: u64) {
         if now_ns.saturating_sub(self.last_reset_ns) >= self.config.stats_reset_interval_ns {
             driver.reset_statistics();
             self.last_reset_ns = now_ns;
@@ -516,9 +511,9 @@ impl Controller {
     }
 
     /// Handles one heavy-hitter report: decide, evict, insert.
-    fn process_report<D: SwitchDriver, B: ServerBackend>(
+    fn process_report<B: ServerBackend>(
         &mut self,
-        driver: &mut D,
+        driver: &mut NetCacheSwitch,
         backend: &mut B,
         report: HotReport,
         now_ns: u64,
@@ -583,9 +578,9 @@ impl Controller {
 
     /// Samples `eviction_samples` cached keys (optionally restricted to one
     /// pipe) and returns the coldest with its counter.
-    fn sample_victim<D: SwitchDriver>(
+    fn sample_victim(
         &mut self,
-        driver: &D,
+        driver: &NetCacheSwitch,
         pipe: Option<usize>,
     ) -> Option<(Key, u16)> {
         let set = match pipe {
@@ -610,7 +605,7 @@ impl Controller {
     /// Evicts `key` from the cache, releasing all resources. The home
     /// server's membership notification is queued and delivered on the
     /// next backend interaction.
-    pub fn evict_key<D: SwitchDriver>(&mut self, driver: &mut D, key: &Key) -> bool {
+    pub fn evict_key(&mut self, driver: &mut NetCacheSwitch, key: &Key) -> bool {
         let Some(meta) = self.cached.remove(key) else {
             return false;
         };
@@ -632,9 +627,9 @@ impl Controller {
     ///
     /// Returns `false` (with a skip counter bumped) if the key cannot be
     /// inserted.
-    pub fn insert_key<D: SwitchDriver, B: ServerBackend>(
+    pub fn insert_key<B: ServerBackend>(
         &mut self,
-        driver: &mut D,
+        driver: &mut NetCacheSwitch,
         backend: &mut B,
         key: Key,
     ) -> bool {
@@ -655,9 +650,9 @@ impl Controller {
     /// Installs an already-fetched item: allocate slots → install value,
     /// lookup entry and status → unlock writes. The caller holds the
     /// server-side write lock for `key`; it is released on every path.
-    fn install_fetched<D: SwitchDriver, B: ServerBackend>(
+    fn install_fetched<B: ServerBackend>(
         &mut self,
-        driver: &mut D,
+        driver: &mut NetCacheSwitch,
         backend: &mut B,
         key: Key,
         home: KeyHome,
@@ -719,8 +714,7 @@ impl Controller {
             return false;
         }
         driver.reset_counter(pipe, key_index);
-        driver.install_value_len(pipe, key_index, value.len() as u16);
-        driver.install_status(pipe, key_index, version.max(1));
+        driver.install_status(pipe, key_index, version.max(1), value.len() as u16);
         // Flush queued eviction notifications (including this insertion's
         // victim) before marking, so an old unmark for this key cannot
         // land after the fresh mark. Mark before releasing blocked writes,
@@ -755,7 +749,7 @@ impl Controller {
     /// its server), then all values are copied to their new slots, then
     /// lookup entries are swapped and previously-valid keys re-validated.
     /// Returns the number of keys moved.
-    pub fn reorganize_pipe<D: SwitchDriver>(&mut self, driver: &mut D, pipe: usize) -> usize {
+    pub fn reorganize_pipe(&mut self, driver: &mut NetCacheSwitch, pipe: usize) -> usize {
         let moves = self.allocators[pipe].reorganize();
         if moves.is_empty() {
             return 0;
@@ -827,9 +821,9 @@ impl Controller {
 
     /// Runs [`Self::reorganize_pipe`] on every pipe whose fragmentation
     /// strands more than `threshold_units` free units for 8-unit values.
-    pub fn maybe_reorganize<D: SwitchDriver>(
+    pub fn maybe_reorganize(
         &mut self,
-        driver: &mut D,
+        driver: &mut NetCacheSwitch,
         threshold_units: usize,
     ) -> usize {
         let pipes = self.allocators.len();
@@ -845,9 +839,9 @@ impl Controller {
     /// Pre-populates the cache with `keys` (experiment setup: "Each
     /// experiment begins with a pre-populated cache containing the top
     /// 10,000 hottest items", §7.4).
-    pub fn populate<D: SwitchDriver, B: ServerBackend>(
+    pub fn populate<B: ServerBackend>(
         &mut self,
-        driver: &mut D,
+        driver: &mut NetCacheSwitch,
         backend: &mut B,
         keys: impl IntoIterator<Item = Key>,
     ) -> usize {

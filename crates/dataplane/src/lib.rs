@@ -19,10 +19,12 @@
 //! # The program
 //!
 //! [`NetCacheSwitch`] wires the NetCache pipeline of Fig. 8 onto that
-//! substrate: per-ingress-pipe cache lookup tables, an L3 routing module,
-//! per-egress-pipe cache status / query statistics / 8 value stages, and
-//! reply mirroring. The control-plane surface ([`SwitchDriver`]) is the
-//! software analogue of the Thrift APIs the P4 compiler generates (§6).
+//! substrate: per-ingress-pipe cache lookup tables, a replication-chain
+//! steering table, an L3 routing module, per-egress-pipe cache status /
+//! query statistics / 8 value stages, and reply mirroring. Its
+//! control-plane methods are the software analogue of the Thrift APIs the
+//! P4 compiler generates (§6), and its resource report is built from the
+//! tables and register arrays it allocates.
 
 pub mod config;
 pub mod phv;
@@ -34,6 +36,7 @@ pub mod table;
 
 pub use config::SwitchConfig;
 pub use phv::{Phv, PortId};
+pub use program::chain::ChainHop;
 pub use program::lookup::LookupEntry;
 pub use program::stats::HotReport;
-pub use switch::{ChainHop, NetCacheSwitch, SwitchDriver, SwitchStats};
+pub use switch::{NetCacheSwitch, SwitchStats};

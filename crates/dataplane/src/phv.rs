@@ -4,8 +4,7 @@
 //! metadata of the packet, and can pass information from one stage to
 //! another by modifying the shared data" (§4.4.1). [`Phv`] is that shared
 //! state: the parsed packet plus the intermediate metadata the NetCache
-//! program produces (cache-lookup results, routing decision, statistics
-//! flags, mirror information).
+//! program produces (cache-lookup result, routing decision, reply route).
 
 use netcache_proto::Packet;
 
@@ -18,34 +17,19 @@ pub type PortId = u16;
 ///
 /// Field sizes on a real ASIC are constrained (the paper's design keeps a
 /// single index plus one bitmap precisely to minimize this metadata,
-/// §4.4.2); the model mirrors the fields of Fig. 8.
+/// §4.4.2); the model carries only what a later stage reads.
 #[derive(Debug, Clone, Default)]
 pub struct Metadata {
     /// Result of the cache lookup table, if the key matched.
     pub cache: Option<LookupEntry>,
-    /// Whether the cached entry was valid when checked at egress.
-    pub cache_valid: bool,
-    /// Egress port chosen by the routing / lookup logic.
+    /// Egress port chosen by ingress; the traffic manager steers the
+    /// packet to this port's egress pipe.
     pub egress_port: Option<PortId>,
-    /// Saved route back toward the client, for mirrored cache-hit replies.
+    /// Saved route back toward the client, for replies the egress turns
+    /// around (cache hits, chain commits).
     pub reply_port: Option<PortId>,
-    /// Set when the egress pipe should mirror the packet to `reply_port`.
-    pub mirror_to_reply: bool,
-    /// Whether the statistics sampler selected this packet.
-    pub sampled: bool,
-    /// Count-Min estimate for an uncached key, when sampled.
-    pub cm_estimate: u16,
-    /// Whether the key crossed the heavy-hitter threshold.
-    pub is_hot: bool,
     /// Whether the packet should be dropped at deparse.
     pub drop: bool,
-    /// Pipeline passes this packet consumed (1 = no recirculation). A pass
-    /// may touch each register array at most once, so a value wider than
-    /// one pass's stage budget recirculates: the packet re-enters the pipe
-    /// with a fresh epoch and the next slice of value stages is read or
-    /// written. Every pass occupies a pipeline slot — transports charge
-    /// `passes × switch latency` for the traversal.
-    pub passes: u8,
 }
 
 /// The parsed packet plus shared metadata, as it flows through the pipes.
@@ -68,10 +52,7 @@ impl Phv {
         Phv {
             pkt,
             ingress_port,
-            meta: Metadata {
-                passes: 1,
-                ..Metadata::default()
-            },
+            meta: Metadata::default(),
             epoch,
         }
     }
@@ -93,8 +74,7 @@ mod tests {
         let phv = Phv::new(pkt, 3, 7);
         assert!(!phv.cache_hit());
         assert!(!phv.meta.drop);
-        assert!(!phv.meta.mirror_to_reply);
-        assert_eq!(phv.meta.passes, 1, "every packet starts as one pass");
+        assert_eq!(phv.meta.egress_port, None);
         assert_eq!(phv.ingress_port, 3);
         assert_eq!(phv.epoch, 7);
     }

@@ -12,6 +12,7 @@
 use netcache_proto::Key;
 
 use crate::phv::PortId;
+use crate::resources::Allocation;
 use crate::table::{ExactMatchTable, TableError};
 
 /// Action data produced by a cache-lookup match.
@@ -64,7 +65,11 @@ impl LookupTables {
         assert!(pipes > 0, "at least one ingress pipe required");
         LookupTables {
             replicas: (0..pipes)
-                .map(|_| ExactMatchTable::new("cache_lookup", capacity))
+                .map(|_| {
+                    let mut replica = ExactMatchTable::new(capacity);
+                    replica.reserve();
+                    replica
+                })
                 .collect(),
         }
     }
@@ -72,16 +77,17 @@ impl LookupTables {
     /// Data-plane lookup on the replica of ingress pipe `pipe`. `&self`:
     /// every pipe reads its own replica concurrently, exactly as the
     /// replicated SRAM blocks do on the ASIC; replica mutation is a
-    /// control-plane (`&mut self`) operation that cannot overlap.
+    /// control-plane (`&mut self`) operation that cannot overlap. The
+    /// control plane reads replica 0.
     pub fn lookup(&self, pipe: usize, key: &Key) -> Option<LookupEntry> {
-        self.replicas[pipe].lookup(key)
+        self.replicas[pipe].lookup(key).copied()
     }
 
     /// Control-plane insert into *all* replicas (they must stay identical).
     pub fn insert(&mut self, key: Key, entry: LookupEntry) -> Result<(), TableError> {
         // Validate against replica 0 first so a failure leaves all replicas
         // unchanged.
-        if self.replicas[0].peek(&key).is_none()
+        if self.replicas[0].lookup(&key).is_none()
             && self.replicas[0].len() >= self.replicas[0].capacity()
         {
             return Err(TableError::Full {
@@ -105,11 +111,6 @@ impl LookupTables {
         removed
     }
 
-    /// Control-plane read (replica 0).
-    pub fn peek(&self, key: &Key) -> Option<&LookupEntry> {
-        self.replicas[0].peek(key)
-    }
-
     /// Number of cached keys.
     pub fn len(&self) -> usize {
         self.replicas[0].len()
@@ -125,16 +126,6 @@ impl LookupTables {
         self.replicas[0].capacity()
     }
 
-    /// Number of replicas (ingress pipes).
-    pub fn replicas(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Iterates installed keys and entries (control plane, replica 0).
-    pub fn iter(&self) -> impl Iterator<Item = (&Key, &LookupEntry)> {
-        self.replicas[0].iter()
-    }
-
     /// SRAM bytes per replica: key bytes + action data per entry.
     ///
     /// Action data: bitmap (1) + value_index (4) + key_index (4) +
@@ -143,6 +134,15 @@ impl LookupTables {
     /// paper's layout; the 8 MB of value-stage SRAM is untouched.)
     pub fn sram_bytes_per_replica(&self) -> usize {
         self.capacity() * (netcache_proto::KEY_LEN + 14)
+    }
+
+    /// One ingress pipe's replica as a placement request.
+    pub fn allocation(&self) -> Allocation {
+        Allocation::new(
+            "cache_lookup",
+            self.sram_bytes_per_replica(),
+            self.capacity(),
+        )
     }
 }
 

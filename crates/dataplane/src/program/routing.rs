@@ -8,36 +8,47 @@
 //! other packets to an egress port by matching on the destination address."
 
 use crate::phv::{Phv, PortId};
+use crate::resources::Allocation;
 use crate::table::LpmTable;
 
+/// SRAM per route: prefix (4 B), prefix length (1 B), egress port (2 B).
+const ROUTE_BYTES: usize = 7;
+
 /// The L3 routing module: a standard LPM table on IPv4 addresses whose
-/// action is an egress port.
-#[derive(Debug, Clone, Default)]
+/// action is an egress port, with room for a fixed number of routes.
+#[derive(Debug, Clone)]
 pub struct Router {
     routes: LpmTable<PortId>,
+    capacity: usize,
 }
 
 impl Router {
-    /// Creates an empty router.
-    pub fn new() -> Self {
+    /// Creates an empty router with room for `capacity` routes.
+    pub fn new(capacity: usize) -> Self {
         Router {
             routes: LpmTable::new(),
+            capacity,
         }
     }
 
-    /// Control-plane: installs `prefix/len → port`.
+    /// Control-plane: installs (or replaces) `prefix/len → port`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prefix/len` is new and the table already holds its
+    /// capacity of routes.
     pub fn add_route(&mut self, prefix: u32, len: u8, port: PortId) {
         self.routes.insert(prefix, len, port);
+        assert!(
+            self.routes.len() <= self.capacity,
+            "routing table full ({} routes)",
+            self.capacity
+        );
     }
 
-    /// Control-plane: removes a route.
-    pub fn remove_route(&mut self, prefix: u32, len: u8) -> Option<PortId> {
-        self.routes.remove(prefix, len)
-    }
-
-    /// Number of installed routes.
-    pub fn route_count(&self) -> usize {
-        self.routes.len()
+    /// The table as a placement request.
+    pub fn allocation(&self) -> Allocation {
+        Allocation::new("l3_routing", self.capacity * ROUTE_BYTES, self.capacity)
     }
 
     /// Plain route lookup without PHV side effects, for pipeline stages
@@ -91,7 +102,7 @@ mod tests {
     const SERVER_PORT: PortId = 2;
 
     fn router() -> Router {
-        let mut r = Router::new();
+        let mut r = Router::new(4);
         r.add_route(CLIENT_IP, 32, CLIENT_PORT);
         r.add_route(SERVER_IP, 32, SERVER_PORT);
         r
@@ -173,8 +184,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "routing table full")]
+    fn routes_beyond_capacity_rejected() {
+        let mut r = router();
+        r.add_route(CLIENT_IP, 32, 3); // replacing a route is free
+        r.add_route(0x0a00_0002, 32, 4);
+        r.add_route(0x0a00_0003, 32, 5);
+        r.add_route(0x0a00_0004, 32, 6);
+    }
+
+    #[test]
     fn cached_read_with_unroutable_source_dropped() {
-        let mut r = Router::new();
+        let mut r = Router::new(4);
         r.add_route(SERVER_IP, 32, SERVER_PORT);
         let mut phv = get_phv();
         phv.meta.cache = Some(LookupEntry {

@@ -177,24 +177,20 @@ impl QueryStats {
         self.reports_dropped
     }
 
-    /// SRAM consumed by all statistics arrays.
-    pub fn sram_bytes(&self) -> usize {
-        self.counters.sram_bytes()
-            + self
-                .cms_rows
-                .iter()
-                .map(RegisterArray::sram_bytes)
-                .sum::<usize>()
-            + self
-                .bloom_parts
-                .iter()
-                .map(RegisterArray::sram_bytes)
-                .sum::<usize>()
+    /// The per-key hit counters, for placement.
+    pub fn counters(&self) -> &RegisterArray<u16> {
+        &self.counters
     }
 
-    /// Count-Min rows (for equivalence tests against `netcache-sketch`).
-    pub fn cms_row(&self, i: usize) -> &RegisterArray<u16> {
-        &self.cms_rows[i]
+    /// Count-Min rows (placement, and equivalence tests against
+    /// `netcache-sketch`).
+    pub fn cms_rows(&self) -> &[RegisterArray<u16>] {
+        &self.cms_rows
+    }
+
+    /// Bloom filter partitions, for placement.
+    pub fn bloom_parts(&self) -> &[RegisterArray<bool>] {
+        &self.bloom_parts
     }
 }
 
@@ -315,6 +311,15 @@ mod tests {
     fn sram_accounting_prototype() {
         let s = QueryStats::new(&SwitchConfig::prototype());
         // counters 128K + cms 4×128K + bloom 3×32K = 736 KiB.
-        assert_eq!(s.sram_bytes(), 128 * 1024 + 4 * 128 * 1024 + 3 * 32 * 1024);
+        let total = s.counters().sram_bytes()
+            + s.cms_rows()
+                .iter()
+                .map(RegisterArray::sram_bytes)
+                .sum::<usize>()
+            + s.bloom_parts()
+                .iter()
+                .map(RegisterArray::sram_bytes)
+                .sum::<usize>();
+        assert_eq!(total, 128 * 1024 + 4 * 128 * 1024 + 3 * 32 * 1024);
     }
 }

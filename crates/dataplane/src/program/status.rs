@@ -10,6 +10,8 @@
 //! robust to reordered or duplicated `CacheUpdate` packets: an update is
 //! applied only if its version is newer than the stored one.
 
+use std::cmp::Ordering;
+
 use crate::register::RegisterArray;
 
 /// Per-key cache status: a valid-bit array plus a version array.
@@ -28,19 +30,9 @@ impl CacheStatus {
         }
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.valid.len()
-    }
-
-    /// Whether there are no slots (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.valid.is_empty()
-    }
-
-    /// SRAM bytes used by both arrays.
-    pub fn sram_bytes(&self) -> usize {
-        self.valid.sram_bytes() + self.version.sram_bytes()
+    /// The valid-bit and version arrays, for placement.
+    pub fn arrays(&self) -> (&RegisterArray<bool>, &RegisterArray<u32>) {
+        (&self.valid, &self.version)
     }
 
     /// Data-plane: read the valid bit for a cache-hit read query.
@@ -53,23 +45,38 @@ impl CacheStatus {
         self.valid.write(epoch, key_index as usize, false);
     }
 
-    /// Data-plane: attempt to apply a cache update with version `version`.
+    /// Data-plane: attempt to apply a cache update with version `version`,
+    /// in one read-modify-write of the version register.
     ///
-    /// Returns `true` (and marks the slot valid) if the version is strictly
-    /// newer than the stored one; stale or duplicate updates return `false`
-    /// and leave the slot untouched. The comparison uses serial-number
+    /// Returns how `version` compares with the stored one. `Greater` (a
+    /// strictly newer version, or a slot never written) stores it and marks
+    /// the slot valid; `Equal` and `Less` (a duplicate or a stale update)
+    /// leave the slot untouched. The comparison uses serial-number
     /// arithmetic so the 32-bit version can wrap.
-    pub fn apply_update(&mut self, epoch: u64, key_index: u32, version: u32) -> bool {
+    pub fn apply_update(&mut self, epoch: u64, key_index: u32, version: u32) -> Ordering {
         let idx = key_index as usize;
-        let stored = self.version.read(epoch, idx);
-        let newer = stored == 0 || (version.wrapping_sub(stored) as i32) > 0;
-        if newer {
-            self.version.poke(idx, version);
+        let mut freshness = Ordering::Greater;
+        self.version.update(epoch, idx, |stored| {
+            if stored != 0 {
+                freshness = (version.wrapping_sub(stored) as i32).cmp(&0);
+            }
+            if freshness.is_gt() {
+                version
+            } else {
+                stored
+            }
+        });
+        if freshness.is_gt() {
             self.valid.write(epoch, idx, true);
-            true
-        } else {
-            false
         }
+        freshness
+    }
+
+    /// Data-plane: mark the slot valid again without a version change
+    /// (the chain tail's commit of a write whose version is already
+    /// stored).
+    pub fn revalidate(&mut self, epoch: u64, key_index: u32) {
+        self.valid.write(epoch, key_index as usize, true);
     }
 
     /// Control-plane: install a fresh key at `key_index` with `version`,
@@ -127,12 +134,13 @@ mod tests {
         s.install(0, 5);
         s.invalidate(1, 0);
         // Stale update (version 4) must be rejected.
-        assert!(!s.apply_update(2, 0, 4));
+        assert_eq!(s.apply_update(2, 0, 4), Ordering::Less);
         assert!(!s.peek_valid(0));
         // Duplicate of current version rejected too.
-        assert!(!s.apply_update(3, 0, 5));
+        assert_eq!(s.apply_update(3, 0, 5), Ordering::Equal);
+        assert!(!s.peek_valid(0));
         // Newer version applies.
-        assert!(s.apply_update(4, 0, 6));
+        assert_eq!(s.apply_update(4, 0, 6), Ordering::Greater);
         assert!(s.peek_valid(0));
         assert_eq!(s.peek_version(0), 6);
     }
@@ -141,10 +149,11 @@ mod tests {
     fn version_wraparound_handled() {
         let mut s = CacheStatus::new(2);
         s.install(0, u32::MAX - 1);
-        assert!(s.apply_update(1, 0, u32::MAX));
+        assert_eq!(s.apply_update(1, 0, u32::MAX), Ordering::Greater);
         // Wrapped version 1 is "newer" than u32::MAX in serial arithmetic
         // (0 is skipped by writers since it means "never written").
-        assert!(s.apply_update(2, 0, 1));
+        assert_eq!(s.apply_update(2, 0, 1), Ordering::Greater);
+        assert_eq!(s.apply_update(3, 0, u32::MAX), Ordering::Less);
         assert_eq!(s.peek_version(0), 1);
     }
 
@@ -156,13 +165,15 @@ mod tests {
         assert!(!s.peek_valid(1));
         assert_eq!(s.peek_version(1), 0);
         // After re-install the slot accepts version 1 again.
-        assert!(s.apply_update(1, 1, 1));
+        assert_eq!(s.apply_update(1, 1, 1), Ordering::Greater);
     }
 
     #[test]
     fn sram_accounting() {
         let s = CacheStatus::new(65_536);
         // 64K bits + 64K × 4 B = 8 KiB + 256 KiB.
-        assert_eq!(s.sram_bytes(), 65_536 / 8 + 65_536 * 4);
+        let (valid, version) = s.arrays();
+        assert_eq!(valid.sram_bytes(), 65_536 / 8);
+        assert_eq!(version.sram_bytes(), 65_536 * 4);
     }
 }

@@ -36,19 +36,9 @@ impl ValueStages {
         }
     }
 
-    /// Number of stages.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Slots per stage.
-    pub fn slots(&self) -> usize {
-        self.stages[0].len()
-    }
-
-    /// Total SRAM consumed by the value arrays.
-    pub fn sram_bytes(&self) -> usize {
-        self.stages.iter().map(RegisterArray::sram_bytes).sum()
+    /// The value arrays in stage order, for placement.
+    pub fn stages(&self) -> &[RegisterArray<[u8; VALUE_UNIT]>] {
+        &self.stages
     }
 
     /// Bitmap with every stage participating (intermediate passes).
@@ -102,7 +92,7 @@ impl ValueStages {
         passes >= 1
             && bitmap != 0
             && bitmap & !self.full_mask() == 0
-            && (index as usize + passes as usize) <= self.slots()
+            && (index as usize + passes as usize) <= self.stages[0].len()
     }
 
     /// Data-plane read: pass `k` (register epoch `base_epoch + k`) visits
@@ -384,6 +374,7 @@ mod tests {
     #[test]
     fn sram_accounting_prototype_is_8mb() {
         let vs = ValueStages::new(8, 65_536);
-        assert_eq!(vs.sram_bytes(), 8 * 1024 * 1024);
+        let total: usize = vs.stages().iter().map(RegisterArray::sram_bytes).sum();
+        assert_eq!(total, 8 * 1024 * 1024);
     }
 }

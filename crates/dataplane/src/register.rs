@@ -9,7 +9,7 @@
 //! per array per packet pass — is enforced in debug mode by an access
 //! epoch counter that the pipeline bumps per packet.
 
-use crate::resources::{AsicProfile, PlacementError};
+use crate::resources::{Allocation, AsicProfile, PlacementError};
 
 /// A slot type storable in a register array.
 ///
@@ -71,6 +71,13 @@ impl<T: Slot> RegisterArray<T> {
             });
         }
         Ok(())
+    }
+
+    /// The array as a placement request on `profile`: its own SRAM, once
+    /// its slot width has passed [`check_width`](Self::check_width).
+    pub fn allocation(&self, profile: &AsicProfile) -> Result<Allocation, PlacementError> {
+        self.check_width(profile)?;
+        Ok(Allocation::new(self.name, self.sram_bytes(), 0))
     }
 
     /// Array name (used in resource reports and assertions).

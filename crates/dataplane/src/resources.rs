@@ -72,6 +72,17 @@ pub struct Allocation {
     pub match_entries: usize,
 }
 
+impl Allocation {
+    /// An allocation of `sram_bytes` and `match_entries` named `name`.
+    pub fn new(name: &str, sram_bytes: usize, match_entries: usize) -> Self {
+        Allocation {
+            name: name.to_string(),
+            sram_bytes,
+            match_entries,
+        }
+    }
+}
+
 /// Pipeline direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
@@ -204,6 +215,21 @@ impl StageMap {
         })
     }
 
+    /// Places each of `allocs` at the first stage `>= min_stage` it fits
+    /// (they are independent of one another), returning the last stage
+    /// used, or `min_stage` when there are none.
+    pub fn place_all(
+        &mut self,
+        min_stage: usize,
+        allocs: impl IntoIterator<Item = Result<Allocation, PlacementError>>,
+    ) -> Result<usize, PlacementError> {
+        let mut last = min_stage;
+        for alloc in allocs {
+            last = last.max(self.place(min_stage, alloc?)?);
+        }
+        Ok(last)
+    }
+
     /// Total SRAM consumed across all stages.
     pub fn total_sram(&self) -> usize {
         (0..self.stages.len()).map(|s| self.stage_sram(s)).sum()
@@ -272,11 +298,7 @@ mod tests {
     use super::*;
 
     fn alloc(name: &str, sram: usize, entries: usize) -> Allocation {
-        Allocation {
-            name: name.to_string(),
-            sram_bytes: sram,
-            match_entries: entries,
-        }
+        Allocation::new(name, sram, entries)
     }
 
     #[test]

@@ -3,17 +3,20 @@
 //! Packet flow:
 //!
 //! 1. **Ingress** — classify NetCache traffic by the reserved L4 port;
-//!    cache lookup (replicated per ingress pipe); routing (by destination,
-//!    or by source for cached reads, saving the reply route as metadata).
+//!    cache lookup (replicated per ingress pipe); chain steering for
+//!    replicated partitions; routing (by destination, or by source for
+//!    cached reads, saving the reply route as metadata). Ingress picks the
+//!    egress port and the egress action.
 //! 2. **Traffic manager** — steer to the egress pipe of the chosen port.
 //! 3. **Egress** — cache status check/invalidate; query statistics; value
 //!    stages (append on read, write on update); reply mirroring back to
 //!    the client for served cache hits.
 //!
-//! The control-plane surface is [`SwitchDriver`], the software analogue of
-//! the generated Thrift APIs (§6). Control-plane operations are counted so
-//! higher layers can model the bounded table-update rate (§4.3: "commodity
-//! switches are able to update more than 10K table entries per second").
+//! The control-plane methods (the second `impl NetCacheSwitch` block) are
+//! the software analogue of the generated Thrift APIs (§6). Control-plane
+//! operations are counted so higher layers can model the bounded
+//! table-update rate (§4.3: "commodity switches are able to update more
+//! than 10K table entries per second").
 //!
 //! # Concurrency model (§6, Fig. 8: "pipes process packets concurrently")
 //!
@@ -21,13 +24,14 @@
 //! egress pipes execute genuinely in parallel, while packets landing in the
 //! *same* pipe serialize in arrival order behind that pipe's mutex — the
 //! hardware-faithful invariant (a pipeline is a sequential machine; the
-//! chip's parallelism is across pipes). Shared read-only match state
-//! (lookup replicas, routing) is searched without locks: mutating it needs
-//! `&mut self` (control plane), which Rust's aliasing rules guarantee cannot
+//! chip's parallelism is across pipes). That mutex is the only lock a
+//! packet takes. Shared read-only match state (lookup replicas, chain
+//! table, routing) is searched without locks: mutating it needs `&mut
+//! self` (control plane), which Rust's aliasing rules guarantee cannot
 //! overlap a data-plane `&self` borrow. Global telemetry counters are
 //! relaxed atomics. See `DESIGN.md` §10.
 
-use std::collections::HashMap;
+use std::cmp;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use netcache_proto::{Key, Op, Packet, Value};
@@ -35,13 +39,14 @@ use parking_lot::Mutex;
 
 use crate::config::SwitchConfig;
 use crate::phv::{Phv, PortId};
+use crate::program::chain::{ChainHop, ChainTable, Steer};
 use crate::program::lookup::{LookupEntry, LookupTables};
 use crate::program::routing::Router;
 use crate::program::stats::{HotReport, QueryStats};
 use crate::program::status::CacheStatus;
 use crate::program::values::ValueStages;
 use crate::register::RegisterArray;
-use crate::resources::{Allocation, Direction, PlacementError, ResourceReport, StageMap};
+use crate::resources::{Direction, PlacementError, ResourceReport, StageMap};
 use crate::table::TableError;
 
 /// One egress pipe's NetCache state (Fig. 8, right half).
@@ -69,14 +74,22 @@ impl EgressPipe {
     }
 }
 
-/// One replica hop of a partition's replication chain: the server's IP
-/// and the switch port it attaches on.
+/// The egress action ingress selects for a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChainHop {
-    /// The replica server's IP.
-    pub ip: u32,
-    /// The switch port the replica attaches on.
-    pub port: PortId,
+enum Action {
+    /// No egress state: leave on the egress port (replies, acks, plain IP,
+    /// chain writes between replicas).
+    Forward,
+    /// A read query: status check, statistics, value stages.
+    Read,
+    /// A client write: invalidate the cached entry, then leave on the
+    /// egress port, or on `head` when it enters a replication chain.
+    Invalidate { head: Option<PortId> },
+    /// A server's cache update: the value write, acknowledged to it.
+    Update,
+    /// The tail replica's copy of a chain write: the value write (a
+    /// delete invalidates), then the client's reply.
+    Commit,
 }
 
 /// Data-plane counters, exposed for benchmarks and experiments.
@@ -156,20 +169,16 @@ impl AtomicSwitchStats {
 /// The NetCache switch data plane.
 ///
 /// Per-pipe state (`egress`) sits behind one mutex per pipe; global match
-/// state (`lookup`, `router`) is read lock-free from the data plane and
-/// mutated only through `&mut self` control-plane calls.
+/// state (`lookup`, `chains`, `router`) is read lock-free from the data
+/// plane and mutated only through `&mut self` control-plane calls.
 #[derive(Debug)]
 pub struct NetCacheSwitch {
     config: SwitchConfig,
     lookup: LookupTables,
     router: Router,
-    /// Replication chains keyed by a partition's static home IP (the
-    /// address clients send to): hops in head→tail order. Like `router`,
-    /// read lock-free from the data plane and mutated only via `&mut self`
-    /// control-plane calls; like routes, it survives [`reboot`].
-    ///
-    /// [`reboot`]: NetCacheSwitch::reboot
-    chains: HashMap<u32, Vec<ChainHop>>,
+    /// Replication chains keyed by a partition's static home IP. Like
+    /// routes, they survive [`reboot`](NetCacheSwitch::reboot).
+    chains: ChainTable,
     egress: Vec<Mutex<EgressPipe>>,
     epoch: AtomicU64,
     stats: AtomicSwitchStats,
@@ -178,13 +187,14 @@ pub struct NetCacheSwitch {
 
 impl NetCacheSwitch {
     /// Builds the switch, verifying the configuration is self-consistent
-    /// and the program fits the ASIC profile.
+    /// and the program fits the ASIC profile. Routing holds a route per
+    /// port, the chain table a chain per port.
     pub fn new(config: SwitchConfig) -> Result<Self, String> {
         config.validate()?;
         let switch = NetCacheSwitch {
             lookup: LookupTables::new(config.pipes, config.cache_capacity),
-            router: Router::new(),
-            chains: HashMap::new(),
+            router: Router::new(config.ports),
+            chains: ChainTable::new(&config),
             egress: (0..config.pipes)
                 .map(|_| Mutex::new(EgressPipe::new(&config)))
                 .collect(),
@@ -221,7 +231,7 @@ impl NetCacheSwitch {
     /// recirculated packets one pipeline slot per pass.
     pub fn passes_for(&self, key: &Key) -> u32 {
         self.lookup
-            .peek(key)
+            .lookup(0, key)
             .map_or(1, |e| u32::from(e.passes.max(1)))
     }
 
@@ -243,7 +253,8 @@ impl NetCacheSwitch {
     }
 
     /// Simulates a switch reboot: the cache and statistics are lost, the
-    /// routing state (re-pushed by the network control plane) is kept.
+    /// routing state (re-pushed by the network control plane) and the
+    /// chain table are kept.
     ///
     /// "If the switch fails, operators can simply reboot the switch with an
     /// empty cache ... it does not maintain any critical system state" (§3).
@@ -275,109 +286,7 @@ impl NetCacheSwitch {
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.packets.fetch_add(1, Ordering::Relaxed);
         let mut phv = Phv::new(pkt, in_port, epoch);
-
-        // ---- Ingress pipeline ----
-        if phv.pkt.is_netcache() {
-            self.stats.netcache_packets.fetch_add(1, Ordering::Relaxed);
-            let ingress_pipe = self.config.pipe_of_port(in_port as usize);
-            // The cache lookup table matches queries and cache updates; it
-            // must not match replies (their key may be cached, but replies
-            // just get forwarded).
-            let wants_lookup = matches!(
-                phv.pkt.netcache.op,
-                Op::Get | Op::Put | Op::Delete | Op::ChainPut | Op::ChainDelete | Op::CacheUpdate
-            );
-            if wants_lookup {
-                phv.meta.cache = self.lookup.lookup(ingress_pipe, &phv.pkt.netcache.key);
-            }
-        }
-
-        // ---- Chain replication steering (NetChain direction) ----
-        //
-        // Fully handled in ingress: chain packets never reach the generic
-        // egress pipeline below. The cached entry of a replicated partition
-        // lives in the *tail's* egress pipe (reads are served from the
-        // tail), which is not the pipe the packet is forwarded through, so
-        // the entry's pipe is locked explicitly here.
-        if phv.pkt.is_netcache() && !self.chains.is_empty() {
-            let op = phv.pkt.netcache.op;
-            if matches!(op, Op::Put | Op::Delete) {
-                if let Some(chain) = self.chains.get(&phv.pkt.ipv4.dst) {
-                    // Client write to a replicated partition: invalidate
-                    // the cached entry, rewrite to the chain opcode and
-                    // forward to the chain head. The head stamps the
-                    // version (chain_version = 0 means "unstamped").
-                    if let Some(entry) = phv.meta.cache {
-                        let entry_pipe = self.config.pipe_of_port(entry.egress_port as usize);
-                        self.egress[entry_pipe]
-                            .lock()
-                            .status
-                            .invalidate(phv.epoch, entry.key_index);
-                        self.stats
-                            .write_invalidations
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.stats.chain_writes.fetch_add(1, Ordering::Relaxed);
-                    phv.pkt.netcache.op = if op == Op::Put {
-                        Op::ChainPut
-                    } else {
-                        Op::ChainDelete
-                    };
-                    phv.pkt.netcache.chain_version = 0;
-                    phv.pkt.refresh_lengths();
-                    return Some((chain[0].port, phv.pkt));
-                }
-            } else if op.is_chain() {
-                let Some(chain) = self.chains.get(&phv.pkt.ipv4.dst) else {
-                    // The chain was torn down (e.g. repair while this
-                    // forward was in flight); the client's retry will be
-                    // re-steered against the current topology.
-                    self.stats.drops.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                };
-                // The sender's chain position is its ingress port: every
-                // transport re-injects a server's output at that server's
-                // own switch port.
-                let Some(pos) = chain.iter().position(|h| h.port == in_port) else {
-                    // A replica that was spliced out re-emitted a stale
-                    // forward; drop it (client retransmission recovers).
-                    self.stats.drops.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                };
-                if pos + 1 < chain.len() {
-                    return Some((chain[pos + 1].port, phv.pkt));
-                }
-                return self.commit_at_tail(phv);
-            } else if op == Op::Get && phv.meta.cache.is_none() {
-                if let Some(chain) = self.chains.get(&phv.pkt.ipv4.dst) {
-                    // Uncached read of a replicated partition: serve from
-                    // the tail (the only replica guaranteed to hold every
-                    // acknowledged write). Heavy-hitter statistics then
-                    // accumulate in the tail's pipe, matching where the
-                    // controller would install the key.
-                    let tail = chain.last().expect("chains are non-empty");
-                    let egress_pipe_idx = self.config.pipe_of_port(tail.port as usize);
-                    self.egress[egress_pipe_idx]
-                        .lock()
-                        .stats
-                        .on_cache_miss(phv.epoch, &phv.pkt.netcache.key);
-                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    return Some((tail.port, phv.pkt));
-                }
-            }
-        }
-
-        if phv.pkt.is_netcache() && phv.pkt.netcache.op == Op::CacheUpdate {
-            // Cache updates are consumed by the switch itself: steer to the
-            // egress pipe that stores the value (the home server's port),
-            // falling back to the ingress port when the entry is gone. The
-            // routing table is never consulted — the switch's own IP needs
-            // no route.
-            let port = phv.meta.cache.map_or(phv.ingress_port, |e| e.egress_port);
-            phv.meta.egress_port = Some(port);
-        } else {
-            self.router.route(&mut phv);
-        }
+        let action = self.ingress(&mut phv);
         if phv.meta.drop {
             self.stats.drops.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -385,246 +294,282 @@ impl NetCacheSwitch {
         let egress_port = phv
             .meta
             .egress_port
-            .expect("router sets egress_port unless dropping");
-
-        // ---- Traffic manager ----
-        let egress_pipe_idx = self.config.pipe_of_port(egress_port as usize);
-
-        // ---- Egress pipeline ----
-        if !phv.pkt.is_netcache() {
+            .expect("ingress sets egress_port unless dropping");
+        if action == Action::Forward {
             return Some((egress_port, phv.pkt));
         }
-        // One lock per packet, held for the duration of the egress pipeline:
-        // this is the per-pipe serialization point. No other lock is taken
-        // while it is held, so lock ordering is trivially acyclic.
-        let mut pipe = self.egress[egress_pipe_idx].lock();
-        let pipe = &mut *pipe;
-        let epoch = phv.epoch;
-        match phv.pkt.netcache.op {
-            Op::Get => {
-                if let Some(entry) = phv.meta.cache {
-                    let valid = pipe.status.check_valid(epoch, entry.key_index);
-                    phv.meta.cache_valid = valid;
-                    // Statistics: cached keys are counted by the per-key
-                    // counter whether or not the entry is momentarily valid
-                    // (popularity is a property of the key).
-                    pipe.stats.on_cache_hit(epoch, entry.key_index);
-                    if valid {
-                        let len = pipe.value_len.read(epoch, entry.key_index as usize);
-                        // A multi-pass entry recirculates: the pipe mutex is
-                        // held across all passes, so the multi-bin read is
-                        // atomic with respect to concurrent updates — no
-                        // packet can interleave between the passes.
-                        let passes = entry.passes.max(1);
-                        phv.meta.passes = passes;
-                        let base = self.value_epochs(epoch, passes);
-                        match pipe.values.read_value(
-                            base,
-                            entry.bitmap,
-                            entry.value_index,
-                            passes,
-                            len,
-                        ) {
-                            Some(value) => {
-                                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                                let reply_port = phv
-                                    .meta
-                                    .reply_port
-                                    .expect("router saved reply route for cached read");
-                                phv.pkt.make_reply(Op::GetReplyHit, Some(value));
-                                // Mirror to the upstream port toward the client.
-                                return Some((reply_port, phv.pkt));
-                            }
-                            None => {
-                                // Inconsistent controller state; fail safe by
-                                // sending the query to the server.
-                                self.stats.invalid_hits.fetch_add(1, Ordering::Relaxed);
-                                return Some((egress_port, phv.pkt));
-                            }
-                        }
-                    }
-                    self.stats.invalid_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some((egress_port, phv.pkt));
-                }
-                // Cache miss: heavy-hitter detection on the uncached key.
-                self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                pipe.stats.on_cache_miss(epoch, &phv.pkt.netcache.key);
-                Some((egress_port, phv.pkt))
+        // ---- Traffic manager → egress pipeline ----
+        // The packet's one lock, held for the whole egress pipeline: the
+        // per-pipe serialization point. No other lock is taken while it is
+        // held, so lock ordering is trivially acyclic.
+        let mut pipe = self.egress[self.config.pipe_of_port(egress_port as usize)].lock();
+        let port = self.egress(&mut pipe, &mut phv, action, egress_port)?;
+        Some((port, phv.pkt))
+    }
+
+    /// The ingress pipeline: cache lookup → chain steering → routing. Sets
+    /// the egress port (or the drop flag) and returns the egress action.
+    #[inline]
+    fn ingress(&self, phv: &mut Phv) -> Action {
+        if !phv.pkt.is_netcache() {
+            self.router.route(phv);
+            return Action::Forward;
+        }
+        self.stats.netcache_packets.fetch_add(1, Ordering::Relaxed);
+        let op = phv.pkt.netcache.op;
+        // The cache lookup table matches queries and cache updates; it
+        // must not match replies (their key may be cached, but replies
+        // just get forwarded).
+        if matches!(
+            op,
+            Op::Get | Op::Put | Op::Delete | Op::ChainPut | Op::ChainDelete | Op::CacheUpdate
+        ) {
+            let pipe = self.config.pipe_of_port(phv.ingress_port as usize);
+            phv.meta.cache = self.lookup.lookup(pipe, &phv.pkt.netcache.key);
+        }
+        // A replicated partition's cached entry lives in its tail's pipe
+        // (reads are served from the tail), which is not the pipe a write
+        // is forwarded through: writes and commits traverse the entry's
+        // pipe and leave on the chain's port.
+        let entry_port = phv.meta.cache.map(|e| e.egress_port);
+        let (port, action) = match self.chains.steer(phv) {
+            Some(Steer::Head(head)) => (
+                entry_port.unwrap_or(head),
+                Action::Invalidate { head: Some(head) },
+            ),
+            Some(Steer::Next(next)) => (next, Action::Forward),
+            Some(Steer::Tail(tail)) => (tail, Action::Read),
+            Some(Steer::Commit) => {
+                // The commit turns into the client's reply: route it back
+                // by source, like a cached read.
+                phv.meta.reply_port = self.router.lookup(phv.pkt.ipv4.src);
+                (entry_port.unwrap_or(phv.ingress_port), Action::Commit)
             }
-            Op::Put | Op::Delete => {
-                if let Some(entry) = phv.meta.cache {
+            Some(Steer::Drop) => {
+                phv.meta.drop = true;
+                return Action::Forward;
+            }
+            // Cache updates are consumed by the switch itself: steer to the
+            // egress pipe that stores the value (the home server's port),
+            // falling back to the ingress port when the entry is gone. The
+            // routing table is never consulted — the switch's own IP needs
+            // no route.
+            None if op == Op::CacheUpdate => {
+                (entry_port.unwrap_or(phv.ingress_port), Action::Update)
+            }
+            None => {
+                self.router.route(phv);
+                return match op {
+                    Op::Get => Action::Read,
+                    Op::Put | Op::Delete => Action::Invalidate { head: None },
+                    _ => Action::Forward,
+                };
+            }
+        };
+        phv.meta.egress_port = Some(port);
+        action
+    }
+
+    /// The egress pipeline of `pipe` (locked by the caller) for a packet
+    /// the traffic manager steered to `egress_port`: returns the port the
+    /// packet leaves on, or `None` if it is dropped.
+    #[inline]
+    fn egress(
+        &self,
+        pipe: &mut EgressPipe,
+        phv: &mut Phv,
+        action: Action,
+        egress_port: PortId,
+    ) -> Option<PortId> {
+        let epoch = phv.epoch;
+        let cache = phv.meta.cache;
+        let op = phv.pkt.netcache.op;
+        match action {
+            Action::Forward => Some(egress_port),
+            Action::Read => {
+                let Some(entry) = cache else {
+                    // Cache miss: heavy-hitter detection on the uncached key.
+                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+                    pipe.stats.on_cache_miss(epoch, &phv.pkt.netcache.key);
+                    return Some(egress_port);
+                };
+                let valid = pipe.status.check_valid(epoch, entry.key_index);
+                // Statistics: cached keys are counted by the per-key counter
+                // whether or not the entry is momentarily valid (popularity
+                // is a property of the key).
+                pipe.stats.on_cache_hit(epoch, entry.key_index);
+                if valid {
+                    let len = pipe.value_len.read(epoch, entry.key_index as usize);
+                    // A multi-pass entry recirculates: the pipe mutex is
+                    // held across all passes, so the multi-bin read is
+                    // atomic with respect to concurrent updates — no packet
+                    // can interleave between the passes.
+                    let passes = entry.passes.max(1);
+                    let base = self.value_epochs(epoch, passes);
+                    if let Some(value) =
+                        pipe.values
+                            .read_value(base, entry.bitmap, entry.value_index, passes, len)
+                    {
+                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                        let reply_port = phv
+                            .meta
+                            .reply_port
+                            .expect("router saved reply route for cached read");
+                        phv.pkt.make_reply(Op::GetReplyHit, Some(value));
+                        // Mirror to the upstream port toward the client.
+                        return Some(reply_port);
+                    }
+                    // Inconsistent controller state: fail safe by sending
+                    // the query to the server.
+                }
+                self.stats.invalid_hits.fetch_add(1, Ordering::Relaxed);
+                Some(egress_port)
+            }
+            Action::Invalidate { head } => {
+                if let Some(entry) = cache {
                     pipe.status.invalidate(epoch, entry.key_index);
                     self.stats
                         .write_invalidations
                         .fetch_add(1, Ordering::Relaxed);
-                    // Tell the server the key is cached (§4.3: "modifies
-                    // the operation field in the packet header").
-                    phv.pkt.netcache.op = phv
-                        .pkt
-                        .netcache
-                        .op
-                        .cached_variant()
-                        .expect("Put/Delete have cached variants");
                 }
-                Some((egress_port, phv.pkt))
-            }
-            Op::CacheUpdate => {
-                // The status stage precedes the value stages: the version
-                // check (one read-modify-write on the status register)
-                // decides whether the update is fresh *before* any value
-                // unit is written. A stale retransmission arriving after a
-                // newer update has been applied must not clobber the valid
-                // entry's bytes on its way to being ignored. The size check
-                // uses only lookup action data (bitmap popcount and pass
-                // count), so it costs no register access. A multi-pass
-                // write recirculates like a multi-pass read; the pipe mutex
-                // is held across all passes, so a Get can never observe a
-                // half-written multi-bin value (§4.3 atomicity extended to
-                // recirculated entries).
-                let applied = match (phv.meta.cache, &phv.pkt.netcache.value) {
-                    (Some(entry), Some(value))
-                        if value.units()
-                            <= pipe.values.capacity_units(entry.bitmap, entry.passes)
-                            && pipe.values.entry_in_bounds(
-                                entry.bitmap,
-                                entry.value_index,
-                                entry.passes,
-                            ) =>
-                    {
-                        let ok =
-                            pipe.status
-                                .apply_update(epoch, entry.key_index, phv.pkt.netcache.seq);
-                        if ok {
-                            let passes = entry.passes.max(1);
-                            phv.meta.passes = passes;
-                            let base = self.value_epochs(epoch, passes);
-                            let wrote = pipe.values.write_value(
-                                base,
-                                entry.bitmap,
-                                entry.value_index,
-                                passes,
-                                value,
-                            );
-                            debug_assert!(wrote, "size was prechecked against the allocation");
-                            pipe.value_len.write(
-                                epoch,
-                                entry.key_index as usize,
-                                value.len() as u16,
-                            );
-                        }
-                        ok
+                let Some(head) = head else {
+                    if cache.is_some() {
+                        // Tell the server the key is cached (§4.3:
+                        // "modifies the operation field in the packet
+                        // header").
+                        phv.pkt.netcache.op = op
+                            .cached_variant()
+                            .expect("Put/Delete have cached variants");
                     }
-                    _ => false,
+                    return Some(egress_port);
                 };
-                if applied {
-                    self.stats.updates_applied.fetch_add(1, Ordering::Relaxed);
+                // A write to a replicated partition enters its chain: the
+                // head stamps the version (chain_version = 0 means
+                // "unstamped").
+                self.stats.chain_writes.fetch_add(1, Ordering::Relaxed);
+                phv.pkt.netcache.op = if op == Op::Put {
+                    Op::ChainPut
                 } else {
-                    self.stats.updates_ignored.fetch_add(1, Ordering::Relaxed);
-                }
+                    Op::ChainDelete
+                };
+                phv.pkt.netcache.chain_version = 0;
+                phv.pkt.refresh_lengths();
+                Some(head)
+            }
+            Action::Update => {
+                let value = phv.pkt.netcache.value.as_ref();
+                let version = phv.pkt.netcache.seq;
+                let freshness =
+                    cache.and_then(|entry| self.write_entry(pipe, epoch, entry, value, version));
+                let counter = if freshness == Some(cmp::Ordering::Greater) {
+                    &self.stats.updates_applied
+                } else {
+                    &self.stats.updates_ignored
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
                 // Always acknowledge: the ack means "processed", and a
                 // non-applied update leaves the entry invalid, which is
                 // safe (reads go to the server).
                 phv.pkt.make_reply(Op::CacheUpdateAck, None);
-                Some((phv.ingress_port, phv.pkt))
+                Some(phv.ingress_port)
             }
-            // Replies and acks pass through by destination routing.
-            _ => Some((egress_port, phv.pkt)),
-        }
-    }
-
-    /// Final hop of a chain write: the tail replica has committed, so the
-    /// cached copy (if any) is brought up to date with the head-stamped
-    /// version and the forward is converted into the client's reply.
-    ///
-    /// Because the reply is only produced here — after the tail's store
-    /// and the switch cache both hold the write — a client never sees an
-    /// ack for a value the cache could still serve stale (§4.3 freshness,
-    /// extended across replicas).
-    fn commit_at_tail(&self, mut phv: Phv) -> Option<(PortId, Packet)> {
-        let op = phv.pkt.netcache.op;
-        let chain_version = phv.pkt.netcache.chain_version;
-        let epoch = phv.epoch;
-        if let Some(entry) = phv.meta.cache {
-            let entry_pipe = self.config.pipe_of_port(entry.egress_port as usize);
-            let mut pipe = self.egress[entry_pipe].lock();
-            let pipe = &mut *pipe;
-            match (op, &phv.pkt.netcache.value) {
-                (Op::ChainPut, Some(value))
-                    if value.units() <= pipe.values.capacity_units(entry.bitmap, entry.passes)
-                        && pipe.values.entry_in_bounds(
-                            entry.bitmap,
-                            entry.value_index,
-                            entry.passes,
-                        ) =>
-                {
-                    if pipe
-                        .status
-                        .apply_update(epoch, entry.key_index, chain_version)
-                    {
-                        let passes = entry.passes.max(1);
-                        let base = self.value_epochs(epoch, passes);
-                        let wrote = pipe.values.write_value(
-                            base,
-                            entry.bitmap,
-                            entry.value_index,
-                            passes,
-                            value,
-                        );
-                        debug_assert!(wrote, "size was prechecked against the allocation");
-                        pipe.value_len
-                            .write(epoch, entry.key_index as usize, value.len() as u16);
-                        self.stats.updates_applied.fetch_add(1, Ordering::Relaxed);
-                    } else if pipe.status.peek_version(entry.key_index) == chain_version {
-                        // Duplicate of the committed write (a client
-                        // retransmission the head deduplicated): the value
-                        // bytes are already in place, so just restore the
-                        // valid bit the duplicate's invalidation cleared.
-                        pipe.status.set_valid(entry.key_index, true);
-                        self.stats.updates_ignored.fetch_add(1, Ordering::Relaxed);
+            Action::Commit => {
+                // The tail replica has committed: the cached copy (if any)
+                // is brought up to the head-stamped version and the forward
+                // is converted into the client's reply. Because the reply is
+                // only produced here — after the tail's store and the
+                // switch cache both hold the write — a client never sees an
+                // ack for a value the cache could still serve stale (§4.3
+                // freshness, extended across replicas).
+                if let Some(entry) = cache {
+                    if op == Op::ChainDelete {
+                        // Deletes leave the entry invalid; the controller's
+                        // repair pass re-fetches or evicts it.
+                        pipe.status.invalidate(epoch, entry.key_index);
                     } else {
-                        self.stats.updates_ignored.fetch_add(1, Ordering::Relaxed);
+                        let value = phv.pkt.netcache.value.as_ref();
+                        let version = phv.pkt.netcache.chain_version;
+                        let counter = match self.write_entry(pipe, epoch, entry, value, version) {
+                            Some(cmp::Ordering::Greater) => &self.stats.updates_applied,
+                            Some(cmp::Ordering::Equal) => {
+                                // Duplicate of the committed write (a client
+                                // retransmission the head deduplicated): the
+                                // value bytes are already in place, so just
+                                // restore the valid bit the duplicate's
+                                // invalidation cleared.
+                                pipe.status.revalidate(epoch, entry.key_index);
+                                &self.stats.updates_ignored
+                            }
+                            // Stale, or no value that fits: leave it invalid.
+                            _ => &self.stats.updates_ignored,
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                (Op::ChainDelete, _) => {
-                    // Deletes leave the entry invalid; the controller's
-                    // repair pass re-fetches or evicts it.
-                    pipe.status.invalidate(epoch, entry.key_index);
+                self.stats.chain_commits.fetch_add(1, Ordering::Relaxed);
+                phv.pkt
+                    .make_reply(op.reply_op().expect("chain ops have reply opcodes"), None);
+                if phv.meta.reply_port.is_none() {
+                    self.stats.drops.fetch_add(1, Ordering::Relaxed);
                 }
-                _ => {
-                    // ChainPut with no/oversized value: leave invalid.
-                    self.stats.updates_ignored.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        self.stats.chain_commits.fetch_add(1, Ordering::Relaxed);
-        let reply_op = op.reply_op().expect("chain ops have reply opcodes");
-        phv.pkt.make_reply(reply_op, None);
-        match self.router.lookup(phv.pkt.ipv4.dst) {
-            Some(port) => Some((port, phv.pkt)),
-            None => {
-                self.stats.drops.fetch_add(1, Ordering::Relaxed);
-                None
+                phv.meta.reply_port
             }
         }
     }
 
-    /// Processes a raw frame, parsing it first. Unparseable frames are
-    /// dropped; non-NetCache frames would be forwarded by a real switch,
-    /// but the reproduction's transports only carry NetCache traffic.
-    pub fn process_bytes(&self, frame: &[u8], in_port: PortId) -> Option<(PortId, Vec<u8>)> {
-        let mut out = None;
-        let mut scratch = Vec::new();
-        self.process_frame_with(frame, in_port, &mut scratch, |port, bytes| {
-            out = Some((port, bytes.to_vec()));
-        });
-        out
+    /// The value-write action, shared by a server's `CacheUpdate` and a
+    /// chain write committing at the tail: brings `entry` to `version`.
+    ///
+    /// The status stage precedes the value stages: its one read-modify-write
+    /// of the version register decides whether the update is fresh
+    /// *before* any value unit is written, so a stale retransmission
+    /// arriving after a newer update has been applied cannot clobber the
+    /// valid entry's bytes on its way to being ignored. Only a strictly
+    /// newer version writes the value stages and the length register. The
+    /// size check uses only lookup action data (bitmap popcount and pass
+    /// count), so it costs no register access. A multi-pass write
+    /// recirculates like a multi-pass read; the pipe mutex is held across
+    /// all passes, so a Get can never observe a half-written multi-bin
+    /// value (§4.3 atomicity extended to recirculated entries).
+    ///
+    /// Returns how `version` compares with the stored one, or `None`,
+    /// touching no register, when there is no value or it does not fit the
+    /// entry's allocation.
+    fn write_entry(
+        &self,
+        pipe: &mut EgressPipe,
+        epoch: u64,
+        entry: LookupEntry,
+        value: Option<&Value>,
+        version: u32,
+    ) -> Option<cmp::Ordering> {
+        let value = value.filter(|v| {
+            v.units() <= pipe.values.capacity_units(entry.bitmap, entry.passes)
+                && pipe
+                    .values
+                    .entry_in_bounds(entry.bitmap, entry.value_index, entry.passes)
+        })?;
+        let freshness = pipe.status.apply_update(epoch, entry.key_index, version);
+        if freshness == cmp::Ordering::Greater {
+            let passes = entry.passes.max(1);
+            let base = self.value_epochs(epoch, passes);
+            let wrote =
+                pipe.values
+                    .write_value(base, entry.bitmap, entry.value_index, passes, value);
+            debug_assert!(wrote, "size was prechecked against the allocation");
+            pipe.value_len
+                .write(epoch, entry.key_index as usize, value.len() as u16);
+        }
+        Some(freshness)
     }
 
-    /// Allocation-free variant of [`process_bytes`](Self::process_bytes):
-    /// each output frame is deparsed into the caller-owned `scratch` buffer
-    /// (reused across calls) and handed to `emit` as a borrowed slice. This
-    /// is the transport hot path — the UDP switch workers send straight
-    /// from `scratch` without per-packet `Vec` churn.
+    /// Processes a raw frame, parsing it first, and deparses the output
+    /// frame into the caller-owned `scratch` buffer (reused across calls)
+    /// for `emit`. Unparseable frames are dropped; non-NetCache frames
+    /// would be forwarded by a real switch, but the reproduction's
+    /// transports only carry NetCache traffic. This is the transport hot
+    /// path — the UDP switch workers send straight from `scratch` without
+    /// per-packet `Vec` churn.
     pub fn process_frame_with(
         &self,
         frame: &[u8],
@@ -646,166 +591,86 @@ impl NetCacheSwitch {
     }
 
     /// Compiles the program against the ASIC profile, producing the
-    /// placement / resource report of §6.
+    /// placement / resource report of §6 from the tables and register
+    /// arrays the switch allocates. One pipe's program is placed: every
+    /// ingress pipe holds the same tables (on the chip, routes and chains
+    /// are replicated per pipe like the lookup table) and every egress pipe
+    /// the same arrays.
     pub fn compile_report(&self) -> Result<ResourceReport, PlacementError> {
-        let profile = self.config.profile;
-        let alloc = |name: &str, sram: usize, entries: usize| Allocation {
-            name: name.to_string(),
-            sram_bytes: sram,
-            match_entries: entries,
-        };
+        let profile = &self.config.profile;
+        let mut ingress = StageMap::new(*profile, Direction::Ingress);
+        let lookup_stage = ingress.place(0, self.lookup.allocation())?;
+        // Chain steering consumes the lookup result (a cached read is never
+        // steered); routing follows it (a chain commit routes back to the
+        // client).
+        let chain_stage = ingress.place(lookup_stage + 1, self.chains.allocation())?;
+        ingress.place(chain_stage + 1, self.router.allocation())?;
 
-        let mut ingress = StageMap::new(profile, Direction::Ingress);
-        let lookup_stage = ingress.place(
-            0,
-            alloc(
-                "cache_lookup",
-                self.lookup.sram_bytes_per_replica(),
-                self.config.cache_capacity,
-            ),
-        )?;
-        // Routing depends on the lookup result (cached reads route by src).
-        ingress.place(lookup_stage + 1, alloc("l3_routing", 512 * 1024, 0))?;
-
-        let mut egress = StageMap::new(profile, Direction::Egress);
+        let mut egress = StageMap::new(*profile, Direction::Egress);
         let pipe = self.egress[0].lock();
-        let status_stage = egress.place(0, alloc("cache_status", pipe.status.sram_bytes(), 0))?;
-        egress.place(0, alloc("value_len", self.config.value_slots * 2, 0))?;
+        let (valid, version) = pipe.status.arrays();
+        let status_stage = egress.place_all(
+            0,
+            [
+                valid.allocation(profile),
+                version.allocation(profile),
+                pipe.value_len.allocation(profile),
+            ],
+        )?;
         // Statistics: counters + CMS rows may share a stage (independent
         // accesses); Bloom depends on the CMS estimate.
-        let counters_stage = egress.place(
-            status_stage + 1,
-            alloc("stats.counters", self.config.value_slots * 2, 0),
+        let counters_stage =
+            egress.place(status_stage + 1, pipe.stats.counters().allocation(profile)?)?;
+        let cms_stage = egress.place_all(
+            counters_stage,
+            pipe.stats.cms_rows().iter().map(|r| r.allocation(profile)),
         )?;
-        let mut cms_stage = counters_stage;
-        for i in 0..self.config.cms_depth {
-            cms_stage = cms_stage.max(egress.place(
-                counters_stage,
-                alloc(&format!("cms_row_{i}"), self.config.cms_width * 2, 0),
-            )?);
-        }
-        let mut bloom_stage = cms_stage + 1;
-        for i in 0..self.config.bloom_partitions {
-            bloom_stage = bloom_stage.max(egress.place(
-                cms_stage + 1,
-                alloc(&format!("bloom_{i}"), self.config.bloom_bits.div_ceil(8), 0),
-            )?);
-        }
+        let mut stage = egress.place_all(
+            cms_stage + 1,
+            pipe.stats
+                .bloom_parts()
+                .iter()
+                .map(|p| p.allocation(profile)),
+        )?;
         // Value stages: one register array per stage, strictly sequential
         // (each appends after the previous).
-        let mut value_stage = bloom_stage;
-        for i in 0..self.config.value_stages {
-            value_stage = egress.place(
-                value_stage + 1,
-                alloc(&format!("value_{i}"), self.config.value_slots * 16, 0),
-            )?;
+        for array in pipe.values.stages() {
+            stage = egress.place(stage + 1, array.allocation(profile)?)?;
         }
 
         Ok(ResourceReport {
-            profile,
+            profile: *profile,
             ingress,
             egress,
         })
     }
 }
 
-/// The control-plane driver interface the controller uses (§3: "It
+/// The control plane: the switch driver the controller uses (§3: "It
 /// communicates with the switch ASIC through a switch driver in the switch
-/// OS").
-///
-/// All mutating driver calls count against the bounded control-plane update
-/// rate, observable via [`NetCacheSwitch::control_updates`].
-pub trait SwitchDriver {
+/// OS"). Every mutating call counts against the bounded control-plane
+/// update rate, observable via [`NetCacheSwitch::control_updates`].
+impl NetCacheSwitch {
     /// Installs a cache lookup entry for `key` in every ingress replica.
-    fn insert_entry(&mut self, key: Key, entry: LookupEntry) -> Result<(), TableError>;
-    /// Removes the lookup entry for `key`.
-    fn remove_entry(&mut self, key: &Key) -> Result<LookupEntry, TableError>;
-    /// Reads the lookup entry for `key` without data-plane effects.
-    fn peek_entry(&self, key: &Key) -> Option<LookupEntry>;
-    /// Writes a value into the value arrays of egress pipe `pipe`. A
-    /// `passes > 1` entry spans consecutive bins starting at `index`.
-    fn write_value(
-        &mut self,
-        pipe: usize,
-        bitmap: u8,
-        index: u32,
-        passes: u8,
-        value: &Value,
-    ) -> bool;
-    /// Reads a value back from egress pipe `pipe` (testing/verification).
-    fn peek_value(
-        &self,
-        pipe: usize,
-        bitmap: u8,
-        index: u32,
-        passes: u8,
-        value_len: u16,
-    ) -> Option<Value>;
-    /// Marks `key_index` valid with `version` after an insertion.
-    fn install_status(&mut self, pipe: usize, key_index: u32, version: u32);
-    /// Records the true value length for `key_index` (read by the data
-    /// plane to trim the final 16-byte unit).
-    fn install_value_len(&mut self, pipe: usize, key_index: u32, len: u16);
-    /// Clears `key_index` when its key is evicted.
-    fn evict_status(&mut self, pipe: usize, key_index: u32);
-    /// Whether `key_index` currently holds a valid value (control-plane
-    /// read, used by the controller's repair pass).
-    fn peek_valid(&self, pipe: usize, key_index: u32) -> bool;
-    /// Marks `key_index` invalid without touching its version (used while
-    /// the controller moves a value between slots).
-    fn invalidate_status(&mut self, pipe: usize, key_index: u32);
-    /// Marks `key_index` valid again without touching its version.
-    fn revalidate_status(&mut self, pipe: usize, key_index: u32);
-    /// The true value length currently recorded for `key_index`.
-    fn peek_value_len(&self, pipe: usize, key_index: u32) -> u16;
-    /// Reads the per-key hit counter.
-    fn read_counter(&self, pipe: usize, key_index: u32) -> u16;
-    /// Zeroes the per-key hit counter (slot reassignment).
-    fn reset_counter(&mut self, pipe: usize, key_index: u32);
-    /// Drains heavy-hitter reports from all egress pipes.
-    fn drain_reports(&mut self) -> Vec<HotReport>;
-    /// Clears all statistics (the periodic reset).
-    fn reset_statistics(&mut self);
-    /// Reconfigures the statistics sampling rate.
-    fn set_sample_rate(&mut self, rate: f64);
-    /// Reconfigures the heavy-hitter threshold.
-    fn set_hot_threshold(&mut self, threshold: u16);
-    /// Installs an L3 route.
-    fn add_route(&mut self, prefix: u32, len: u8, port: PortId);
-    /// Number of cached keys.
-    fn cached_keys(&self) -> usize;
-    /// Cache capacity.
-    fn cache_capacity(&self) -> usize;
-    /// Installs (or replaces) the replication chain for the partition whose
-    /// static home IP is `home_ip`. `hops` is in head→tail order and must
-    /// be non-empty.
-    fn set_chain(&mut self, home_ip: u32, hops: Vec<ChainHop>);
-    /// Removes the replication chain for `home_ip`.
-    fn clear_chain(&mut self, home_ip: u32);
-    /// The installed chain for `home_ip`, head→tail (control-plane read).
-    fn chain(&self, home_ip: u32) -> Option<Vec<ChainHop>>;
-    /// The version stored for `key_index` (control-plane read, used by the
-    /// chain-invariant checks: a cached version must never run ahead of
-    /// the tail replica's store).
-    fn peek_version(&self, pipe: usize, key_index: u32) -> u32;
-}
-
-impl SwitchDriver for NetCacheSwitch {
-    fn insert_entry(&mut self, key: Key, entry: LookupEntry) -> Result<(), TableError> {
+    pub fn insert_entry(&mut self, key: Key, entry: LookupEntry) -> Result<(), TableError> {
         self.control_updates += self.config.pipes as u64;
         self.lookup.insert(key, entry)
     }
 
-    fn remove_entry(&mut self, key: &Key) -> Result<LookupEntry, TableError> {
+    /// Removes the lookup entry for `key`.
+    pub fn remove_entry(&mut self, key: &Key) -> Result<LookupEntry, TableError> {
         self.control_updates += self.config.pipes as u64;
         self.lookup.remove(key)
     }
 
-    fn peek_entry(&self, key: &Key) -> Option<LookupEntry> {
-        self.lookup.peek(key).copied()
+    /// Reads the lookup entry for `key` without data-plane effects.
+    pub fn peek_entry(&self, key: &Key) -> Option<LookupEntry> {
+        self.lookup.lookup(0, key)
     }
 
-    fn write_value(
+    /// Writes a value into the value arrays of egress pipe `pipe`. A
+    /// `passes > 1` entry spans consecutive bins starting at `index`.
+    pub fn write_value(
         &mut self,
         pipe: usize,
         bitmap: u8,
@@ -820,7 +685,8 @@ impl SwitchDriver for NetCacheSwitch {
             .poke_value(bitmap, index, passes, value)
     }
 
-    fn peek_value(
+    /// Reads a value back from egress pipe `pipe` (testing/verification).
+    pub fn peek_value(
         &self,
         pipe: usize,
         bitmap: u8,
@@ -834,34 +700,33 @@ impl SwitchDriver for NetCacheSwitch {
             .peek_value(bitmap, index, passes, value_len)
     }
 
-    fn install_status(&mut self, pipe: usize, key_index: u32, version: u32) {
-        self.control_updates += 1;
-        self.egress[pipe]
-            .get_mut()
-            .status
-            .install(key_index, version);
+    /// The last step of a cache insertion: records the true value length
+    /// of `key_index` (read by the data plane to trim the final 16-byte
+    /// unit) and marks it valid with `version` — two register writes.
+    pub fn install_status(&mut self, pipe: usize, key_index: u32, version: u32, value_len: u16) {
+        self.control_updates += 2;
+        let p = self.egress[pipe].get_mut();
+        p.value_len.poke(key_index as usize, value_len);
+        p.status.install(key_index, version);
     }
 
-    fn install_value_len(&mut self, pipe: usize, key_index: u32, len: u16) {
-        self.control_updates += 1;
-        self.egress[pipe]
-            .get_mut()
-            .value_len
-            .poke(key_index as usize, len);
-    }
-
-    fn evict_status(&mut self, pipe: usize, key_index: u32) {
+    /// Clears `key_index` when its key is evicted.
+    pub fn evict_status(&mut self, pipe: usize, key_index: u32) {
         self.control_updates += 1;
         let p = self.egress[pipe].get_mut();
         p.status.evict(key_index);
         p.value_len.poke(key_index as usize, 0);
     }
 
-    fn peek_valid(&self, pipe: usize, key_index: u32) -> bool {
+    /// Whether `key_index` currently holds a valid value (control-plane
+    /// read, used by the controller's repair pass).
+    pub fn peek_valid(&self, pipe: usize, key_index: u32) -> bool {
         self.egress[pipe].lock().status.peek_valid(key_index)
     }
 
-    fn invalidate_status(&mut self, pipe: usize, key_index: u32) {
+    /// Marks `key_index` invalid without touching its version (used while
+    /// the controller moves a value between slots).
+    pub fn invalidate_status(&mut self, pipe: usize, key_index: u32) {
         self.control_updates += 1;
         self.egress[pipe]
             .get_mut()
@@ -869,7 +734,8 @@ impl SwitchDriver for NetCacheSwitch {
             .set_valid(key_index, false);
     }
 
-    fn revalidate_status(&mut self, pipe: usize, key_index: u32) {
+    /// Marks `key_index` valid again without touching its version.
+    pub fn revalidate_status(&mut self, pipe: usize, key_index: u32) {
         self.control_updates += 1;
         self.egress[pipe]
             .get_mut()
@@ -877,20 +743,24 @@ impl SwitchDriver for NetCacheSwitch {
             .set_valid(key_index, true);
     }
 
-    fn peek_value_len(&self, pipe: usize, key_index: u32) -> u16 {
+    /// The true value length currently recorded for `key_index`.
+    pub fn peek_value_len(&self, pipe: usize, key_index: u32) -> u16 {
         self.egress[pipe].lock().value_len.peek(key_index as usize)
     }
 
-    fn read_counter(&self, pipe: usize, key_index: u32) -> u16 {
+    /// Reads the per-key hit counter.
+    pub fn read_counter(&self, pipe: usize, key_index: u32) -> u16 {
         self.egress[pipe].lock().stats.read_counter(key_index)
     }
 
-    fn reset_counter(&mut self, pipe: usize, key_index: u32) {
+    /// Zeroes the per-key hit counter (slot reassignment).
+    pub fn reset_counter(&mut self, pipe: usize, key_index: u32) {
         self.control_updates += 1;
         self.egress[pipe].get_mut().stats.reset_counter(key_index);
     }
 
-    fn drain_reports(&mut self) -> Vec<HotReport> {
+    /// Drains heavy-hitter reports from all egress pipes.
+    pub fn drain_reports(&mut self) -> Vec<HotReport> {
         let mut all = Vec::new();
         for pipe in &mut self.egress {
             all.extend(pipe.get_mut().stats.drain_reports());
@@ -898,57 +768,61 @@ impl SwitchDriver for NetCacheSwitch {
         all
     }
 
-    fn reset_statistics(&mut self) {
+    /// Clears all statistics (the periodic reset).
+    pub fn reset_statistics(&mut self) {
         self.control_updates += 1;
         for pipe in &mut self.egress {
             pipe.get_mut().stats.reset_all();
         }
     }
 
-    fn set_sample_rate(&mut self, rate: f64) {
+    /// Reconfigures the statistics sampling rate.
+    pub fn set_sample_rate(&mut self, rate: f64) {
         self.control_updates += 1;
         for pipe in &mut self.egress {
             pipe.get_mut().stats.set_sample_rate(rate);
         }
     }
 
-    fn set_hot_threshold(&mut self, threshold: u16) {
+    /// Reconfigures the heavy-hitter threshold.
+    pub fn set_hot_threshold(&mut self, threshold: u16) {
         self.control_updates += 1;
         for pipe in &mut self.egress {
             pipe.get_mut().stats.set_hot_threshold(threshold);
         }
     }
 
-    fn add_route(&mut self, prefix: u32, len: u8, port: PortId) {
+    /// Installs an L3 route.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the route is new and the table already holds one route
+    /// per port.
+    pub fn add_route(&mut self, prefix: u32, len: u8, port: PortId) {
         self.control_updates += 1;
         self.router.add_route(prefix, len, port);
     }
 
-    fn cached_keys(&self) -> usize {
+    /// Number of cached keys.
+    pub fn cached_keys(&self) -> usize {
         self.lookup.len()
     }
 
-    fn cache_capacity(&self) -> usize {
-        self.lookup.capacity()
-    }
-
-    fn set_chain(&mut self, home_ip: u32, hops: Vec<ChainHop>) {
-        assert!(!hops.is_empty(), "a chain needs at least one hop");
+    /// Installs (or replaces) the replication chain for the partition whose
+    /// static home IP is `home_ip`. `hops` is in head→tail order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hops` is empty or longer than the port count.
+    pub fn set_chain(&mut self, home_ip: u32, hops: Vec<ChainHop>) {
         self.control_updates += 1;
         self.chains.insert(home_ip, hops);
     }
 
-    fn clear_chain(&mut self, home_ip: u32) {
+    /// Removes the replication chain for `home_ip`.
+    pub fn clear_chain(&mut self, home_ip: u32) {
         self.control_updates += 1;
-        self.chains.remove(&home_ip);
-    }
-
-    fn chain(&self, home_ip: u32) -> Option<Vec<ChainHop>> {
-        self.chains.get(&home_ip).cloned()
-    }
-
-    fn peek_version(&self, pipe: usize, key_index: u32) -> u32 {
-        self.egress[pipe].lock().status.peek_version(key_index)
+        self.chains.remove(home_ip);
     }
 }
 
@@ -989,8 +863,7 @@ mod tests {
             },
         )
         .unwrap();
-        sw.install_value_len(0, key_index, value.len() as u16);
-        sw.install_status(0, key_index, 1);
+        sw.install_status(0, key_index, 1, value.len() as u16);
     }
 
     #[test]
@@ -1311,22 +1184,33 @@ mod tests {
         assert_eq!(out.0, SERVER_PORT, "routes survive, cache does not");
     }
 
+    /// Runs `frame` through [`NetCacheSwitch::process_frame_with`],
+    /// returning what it emitted.
+    fn process_frame(sw: &NetCacheSwitch, frame: &[u8]) -> Vec<(PortId, Vec<u8>)> {
+        let mut out = Vec::new();
+        sw.process_frame_with(frame, CLIENT_PORT, &mut Vec::new(), |port, bytes| {
+            out.push((port, bytes.to_vec()))
+        });
+        out
+    }
+
     #[test]
-    fn process_bytes_round_trip() {
+    fn frame_round_trip() {
         let mut sw = switch();
         let key = Key::from_u64(42);
         let value = Value::for_item(42, 64);
         install(&mut sw, key, &value, 0, 0);
         let query = Packet::get_query(1, CLIENT_IP, SERVER_IP, key, 5).deparse();
-        let out = sw.process_bytes(&query, CLIENT_PORT).expect("one output");
-        let reply = Packet::parse(&out.1).unwrap();
+        let out = process_frame(&sw, &query);
+        assert_eq!(out.len(), 1, "one output");
+        let reply = Packet::parse(&out[0].1).unwrap();
         assert_eq!(reply.netcache.value.unwrap(), value);
     }
 
     #[test]
     fn malformed_frames_dropped() {
         let sw = switch();
-        assert!(sw.process_bytes(&[0u8; 10], CLIENT_PORT).is_none());
+        assert!(process_frame(&sw, &[0u8; 10]).is_empty());
         assert_eq!(sw.stats().drops, 1);
     }
 
@@ -1339,6 +1223,77 @@ mod tests {
             "paper claims <50%, got {:.1}%",
             report.sram_fraction() * 100.0
         );
+    }
+
+    /// The resource report is the switch's own allocations: every match
+    /// table (chain table included) and every register array of every
+    /// egress pipe appears in it with its own size, and nothing else does.
+    #[test]
+    fn compile_report_accounts_every_allocation() {
+        let mut sw = NetCacheSwitch::new(SwitchConfig {
+            pipes: 2,
+            ..SwitchConfig::prototype()
+        })
+        .unwrap();
+        sw.set_chain(
+            SERVER_IP,
+            vec![ChainHop {
+                ip: SERVER_IP,
+                port: SERVER_PORT,
+            }],
+        );
+        let report = sw.compile_report().unwrap();
+        let rows = |map: &StageMap| {
+            let mut rows: Vec<(String, usize)> = map
+                .stages()
+                .iter()
+                .flatten()
+                .map(|a| (a.name.clone(), a.sram_bytes))
+                .collect();
+            rows.sort();
+            rows
+        };
+        let mut tables: Vec<(String, usize)> = [
+            sw.lookup.allocation(),
+            sw.chains.allocation(),
+            sw.router.allocation(),
+        ]
+        .into_iter()
+        .map(|a| (a.name, a.sram_bytes))
+        .collect();
+        tables.sort();
+        assert_eq!(rows(&report.ingress), tables);
+        let ports = sw.config.ports;
+        assert!(tables.contains(&("chain_steering".into(), ports * (5 + ports * 6))));
+        assert!(tables.contains(&("l3_routing".into(), ports * 7)));
+
+        for (p, pipe) in sw.egress.iter().enumerate() {
+            let pipe = pipe.lock();
+            let (valid, version) = pipe.status.arrays();
+            let mut arrays = vec![
+                (valid.name().to_string(), valid.sram_bytes()),
+                (version.name().to_string(), version.sram_bytes()),
+                (
+                    pipe.value_len.name().to_string(),
+                    pipe.value_len.sram_bytes(),
+                ),
+                (
+                    pipe.stats.counters().name().to_string(),
+                    pipe.stats.counters().sram_bytes(),
+                ),
+            ];
+            for a in pipe.stats.cms_rows() {
+                arrays.push((a.name().to_string(), a.sram_bytes()));
+            }
+            for a in pipe.stats.bloom_parts() {
+                arrays.push((a.name().to_string(), a.sram_bytes()));
+            }
+            for a in pipe.values.stages() {
+                arrays.push((a.name().to_string(), a.sram_bytes()));
+            }
+            arrays.sort();
+            assert_eq!(rows(&report.egress), arrays, "egress pipe {p}");
+        }
     }
 
     #[test]
@@ -1441,8 +1396,7 @@ mod tests {
             },
         )
         .unwrap();
-        sw.install_value_len(0, 0, 16);
-        sw.install_status(0, 0, 1);
+        sw.install_status(0, 0, 1, 16);
 
         // Client write: entry invalidated, write steered to the head.
         let put = Packet::put_query(1, CLIENT_IP, SERVER_IP, key, 9, Value::filled(7, 16));
@@ -1470,7 +1424,7 @@ mod tests {
             out.1.netcache.value.as_ref().unwrap(),
             &Value::filled(7, 16)
         );
-        assert_eq!(sw.peek_version(0, 0), 2);
+        assert_eq!(sw.egress[0].lock().status.peek_version(0), 2);
 
         // A duplicate of the SAME committed write (client retransmission):
         // the client-facing invalidation is healed by the equal-version
@@ -1539,14 +1493,14 @@ mod tests {
     fn chains_survive_reboot_and_clear() {
         let mut sw = chained_switch();
         sw.reboot();
-        assert!(sw.chain(SERVER_IP).is_some(), "chains survive reboot");
+        assert!(sw.chains.hops(SERVER_IP).is_some(), "chains survive reboot");
         let get = Packet::get_query(1, CLIENT_IP, SERVER_IP, Key::from_u64(11), 0);
         assert_eq!(
             sw.process(get.clone(), CLIENT_PORT).expect("one output").0,
             REPLICA_PORT
         );
         sw.clear_chain(SERVER_IP);
-        assert!(sw.chain(SERVER_IP).is_none());
+        assert!(sw.chains.hops(SERVER_IP).is_none());
         assert_eq!(
             sw.process(get, CLIENT_PORT).expect("one output").0,
             SERVER_PORT,
@@ -1569,5 +1523,231 @@ mod tests {
         let out = sw.process(put, CLIENT_PORT);
         assert!(out.is_none());
         assert_eq!(sw.stats().chain_writes, 0);
+    }
+
+    /// A chain whose head (port 1) and tail (port 5) sit in different
+    /// egress pipes of a 2-pipe switch: the tail-homed entry lives in pipe
+    /// 1 while client writes are forwarded through the head's pipe 0.
+    /// Every cross-pipe branch must touch the pipe of the entry it serves
+    /// and leave an unrelated entry at the same key index in the other
+    /// pipe alone.
+    #[test]
+    fn chain_across_pipes_touches_only_the_entry_pipe() {
+        const TAIL_IP: u32 = 0x0a00_0105;
+        const TAIL_PORT: PortId = 5;
+        let mut sw = NetCacheSwitch::new(SwitchConfig {
+            pipes: 2,
+            ..SwitchConfig::tiny()
+        })
+        .unwrap();
+        assert_eq!(sw.config().pipe_of_port(SERVER_PORT as usize), 0);
+        assert_eq!(sw.config().pipe_of_port(TAIL_PORT as usize), 1);
+        sw.add_route(CLIENT_IP, 32, CLIENT_PORT);
+        sw.add_route(SERVER_IP, 32, SERVER_PORT);
+        sw.add_route(TAIL_IP, 32, TAIL_PORT);
+        sw.set_chain(
+            SERVER_IP,
+            vec![
+                ChainHop {
+                    ip: SERVER_IP,
+                    port: SERVER_PORT,
+                },
+                ChainHop {
+                    ip: TAIL_IP,
+                    port: TAIL_PORT,
+                },
+            ],
+        );
+        // `key` is cached at the tail (pipe 1); `bystander` holds key
+        // index 0 of pipe 0 under an unchained home.
+        let key = Key::from_u64(4);
+        let bystander = Key::from_u64(5);
+        for (k, pipe, port, fill) in [(key, 1, TAIL_PORT, 1), (bystander, 0, 2, 2)] {
+            assert!(sw.write_value(pipe, 1, 0, 1, &Value::filled(fill, 16)));
+            sw.insert_entry(
+                k,
+                LookupEntry {
+                    bitmap: 1,
+                    value_index: 0,
+                    key_index: 0,
+                    egress_port: port,
+                    value_len: 16,
+                    passes: 1,
+                },
+            )
+            .unwrap();
+            sw.install_status(pipe, 0, 1, 16);
+        }
+        let get = |k: Key| Packet::get_query(1, CLIENT_IP, SERVER_IP, k, 10);
+        let bystander_hit = |sw: &NetCacheSwitch| {
+            let out = sw.process(get(bystander), CLIENT_PORT).expect("one output");
+            out.1.netcache.op == Op::GetReplyHit
+                && out.1.netcache.value == Some(Value::filled(2, 16))
+        };
+        assert!(bystander_hit(&sw));
+
+        // Uncached reads steer to the tail and feed the tail pipe's
+        // heavy-hitter statistics.
+        let cold = Key::from_u64(11);
+        for seq in 0..20 {
+            let out = sw
+                .process(
+                    Packet::get_query(1, CLIENT_IP, SERVER_IP, cold, seq),
+                    CLIENT_PORT,
+                )
+                .expect("one output");
+            assert_eq!(out.0, TAIL_PORT);
+        }
+        assert!(sw.egress[0].get_mut().stats.drain_reports().is_empty());
+        let reports = sw.egress[1].get_mut().stats.drain_reports();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].key, cold);
+
+        // A client write invalidates the tail pipe's entry and enters the
+        // chain at the head.
+        let put = Packet::put_query(1, CLIENT_IP, SERVER_IP, key, 9, Value::filled(7, 16));
+        let out = sw.process(put, CLIENT_PORT).expect("one output");
+        assert_eq!((out.0, out.1.netcache.op), (SERVER_PORT, Op::ChainPut));
+        let out = sw.process(get(key), CLIENT_PORT).expect("one output");
+        assert_eq!(out.0, TAIL_PORT, "invalid entry: read goes to the tail");
+        assert!(bystander_hit(&sw), "pipe 0 untouched by the invalidation");
+
+        // Head → tail hop, then the tail's commit refreshes pipe 1.
+        let mut fwd = Packet::put_query(1, CLIENT_IP, SERVER_IP, key, 9, Value::filled(7, 16));
+        fwd.netcache.op = Op::ChainPut;
+        fwd.netcache.chain_version = 2;
+        fwd.refresh_lengths();
+        let out = sw.process(fwd.clone(), SERVER_PORT).expect("one output");
+        assert_eq!(out.0, TAIL_PORT);
+        let out = sw.process(fwd.clone(), TAIL_PORT).expect("one output");
+        assert_eq!((out.0, out.1.netcache.op), (CLIENT_PORT, Op::PutReply));
+        assert_eq!(sw.stats().updates_applied, 1);
+        let out = sw.process(get(key), CLIENT_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::GetReplyHit);
+        assert_eq!(out.1.netcache.value, Some(Value::filled(7, 16)));
+        assert!(bystander_hit(&sw), "pipe 0 untouched by the commit");
+
+        // A duplicate of the committed write: invalidated again, healed by
+        // the equal-version commit.
+        let dup = Packet::put_query(1, CLIENT_IP, SERVER_IP, key, 9, Value::filled(7, 16));
+        sw.process(dup, CLIENT_PORT);
+        sw.process(fwd.clone(), TAIL_PORT);
+        let out = sw.process(get(key), CLIENT_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::GetReplyHit, "healed in pipe 1");
+        assert_eq!(sw.stats().updates_ignored, 1);
+
+        // A committed delete leaves the tail pipe's entry invalid.
+        let mut del = Packet::delete_query(1, CLIENT_IP, SERVER_IP, key, 12);
+        del.netcache.op = Op::ChainDelete;
+        del.netcache.chain_version = 3;
+        del.refresh_lengths();
+        let out = sw.process(del, TAIL_PORT).expect("one output");
+        assert_eq!(out.1.netcache.op, Op::DeleteReply);
+        let out = sw.process(get(key), CLIENT_PORT).expect("one output");
+        assert_eq!(out.0, TAIL_PORT);
+        assert!(bystander_hit(&sw), "pipe 0 untouched by the delete");
+        assert_eq!(sw.stats().write_invalidations, 2);
+        assert_eq!(sw.stats().chain_commits, 3);
+
+        // An entry homed in the head's pipe (cached before its partition's
+        // tail moved) is committed where it lives, not in the tail's pipe.
+        let moved = Key::from_u64(6);
+        assert!(sw.write_value(0, 1, 1, 1, &Value::filled(3, 16)));
+        let entry = LookupEntry {
+            bitmap: 1,
+            value_index: 1,
+            key_index: 1,
+            egress_port: SERVER_PORT,
+            value_len: 16,
+            passes: 1,
+        };
+        sw.insert_entry(moved, entry).unwrap();
+        sw.install_status(0, 1, 1, 16);
+        let put = Packet::put_query(1, CLIENT_IP, SERVER_IP, moved, 13, Value::filled(8, 16));
+        sw.process(put.clone(), CLIENT_PORT);
+        let mut fwd = put;
+        fwd.netcache.op = Op::ChainPut;
+        fwd.netcache.chain_version = 4;
+        fwd.refresh_lengths();
+        sw.process(fwd, TAIL_PORT);
+        let out = sw.process(get(moved), CLIENT_PORT).expect("one output");
+        assert_eq!(
+            out.1.netcache.value,
+            Some(Value::filled(8, 16)),
+            "refreshed in pipe 0"
+        );
+    }
+
+    /// Every control-plane write counts against the update budget: one
+    /// per register poke or chain-table entry, one per pipe for a lookup
+    /// entry (the table is replicated per ingress pipe).
+    #[test]
+    fn control_updates_per_operation() {
+        let mut sw = NetCacheSwitch::new(SwitchConfig {
+            pipes: 2,
+            ..SwitchConfig::tiny()
+        })
+        .unwrap();
+        let mut expect = 0;
+        let mut step = |sw: &NetCacheSwitch, cost: u64, what: &str| {
+            expect += cost;
+            assert_eq!(sw.control_updates(), expect, "{what}");
+        };
+        sw.add_route(CLIENT_IP, 32, CLIENT_PORT);
+        step(&sw, 1, "add_route");
+        let hop = ChainHop {
+            ip: SERVER_IP,
+            port: SERVER_PORT,
+        };
+        sw.set_chain(SERVER_IP, vec![hop]);
+        step(&sw, 1, "set_chain");
+        sw.clear_chain(SERVER_IP);
+        step(&sw, 1, "clear_chain");
+        sw.write_value(1, 1, 0, 1, &Value::filled(1, 16));
+        step(&sw, 1, "write_value");
+        let key = Key::from_u64(1);
+        let entry = LookupEntry {
+            bitmap: 1,
+            value_index: 0,
+            key_index: 0,
+            egress_port: 5,
+            value_len: 16,
+            passes: 1,
+        };
+        sw.insert_entry(key, entry).unwrap();
+        step(&sw, 2, "insert_entry: one per pipe");
+        sw.install_status(1, 0, 1, 16);
+        step(&sw, 2, "length + status install");
+        sw.reset_counter(1, 0);
+        step(&sw, 1, "reset_counter");
+        sw.invalidate_status(1, 0);
+        step(&sw, 1, "invalidate_status");
+        sw.revalidate_status(1, 0);
+        step(&sw, 1, "revalidate_status");
+        sw.evict_status(1, 0);
+        step(&sw, 1, "evict_status");
+        sw.remove_entry(&key).unwrap();
+        step(&sw, 2, "remove_entry: one per pipe");
+        sw.reset_statistics();
+        step(&sw, 1, "reset_statistics");
+        sw.set_sample_rate(0.5);
+        step(&sw, 1, "set_sample_rate");
+        sw.set_hot_threshold(4);
+        step(&sw, 1, "set_hot_threshold");
+        sw.drain_reports();
+        step(&sw, 0, "reads are free");
+    }
+
+    /// The profile's register width limit applies to every array the
+    /// program allocates: 16-byte value units cannot compile on a chip
+    /// whose register arrays move 8 bytes per stage.
+    #[test]
+    fn register_wider_than_profile_limit_rejected() {
+        let mut config = SwitchConfig::prototype();
+        config.profile.register_width_limit = 8;
+        let Err(err) = NetCacheSwitch::new(config) else {
+            panic!("an 8 B register width limit accepted 16 B value units");
+        };
+        assert!(err.contains("register width 16 exceeds"), "{err}");
     }
 }

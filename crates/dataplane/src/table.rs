@@ -9,7 +9,6 @@
 //!   based on destination IP address", §6).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use core::hash::Hash;
 
@@ -42,48 +41,34 @@ impl std::error::Error for TableError {}
 /// real hardware — the controller models that); lookup is the data-plane
 /// operation. Lookup takes `&self` — the match stage is read-only from the
 /// packet's point of view, so concurrent pipes may search the same SRAM
-/// block; only the telemetry counters are touched, and those are atomics.
-#[derive(Debug)]
+/// block.
+#[derive(Debug, Clone)]
 pub struct ExactMatchTable<K: Eq + Hash + Clone, A: Clone> {
-    name: &'static str,
     capacity: usize,
     entries: HashMap<K, A>,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl<K: Eq + Hash + Clone, A: Clone> Clone for ExactMatchTable<K, A> {
-    fn clone(&self) -> Self {
-        ExactMatchTable {
-            name: self.name,
-            capacity: self.capacity,
-            entries: self.entries.clone(),
-            lookups: AtomicU64::new(self.lookups.load(Ordering::Relaxed)),
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl<K: Eq + Hash + Clone, A: Clone> ExactMatchTable<K, A> {
-    /// Creates an empty table with a fixed `capacity`.
+    /// Creates an empty table with a fixed `capacity`. It holds no host
+    /// memory until entries are installed or [`reserve`](Self::reserve)
+    /// is called.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(name: &'static str, capacity: usize) -> Self {
-        assert!(capacity > 0, "table {name} must have positive capacity");
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "a table must have positive capacity");
         ExactMatchTable {
-            name,
             capacity,
-            entries: HashMap::with_capacity(capacity.min(1 << 16)),
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
+            entries: HashMap::new(),
         }
     }
 
-    /// Table name.
-    pub fn name(&self) -> &'static str {
-        self.name
+    /// Reserves host memory for the whole capacity (up to 64K entries),
+    /// so that, like the SRAM block it models, the table never grows while
+    /// it serves.
+    pub fn reserve(&mut self) {
+        self.entries.reserve(self.capacity.min(1 << 16));
     }
 
     /// Configured capacity.
@@ -101,20 +86,11 @@ impl<K: Eq + Hash + Clone, A: Clone> ExactMatchTable<K, A> {
         self.entries.is_empty()
     }
 
-    /// Data-plane lookup. `&self`: safe under concurrent pipes — entry
-    /// mutation requires `&mut self` (control plane), which Rust's
-    /// exclusivity guarantees cannot overlap with data-plane lookups.
-    pub fn lookup(&self, key: &K) -> Option<A> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let hit = self.entries.get(key).cloned();
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// Read-only lookup that does not perturb hit statistics (control plane).
-    pub fn peek(&self, key: &K) -> Option<&A> {
+    /// Lookup. `&self`: safe under concurrent pipes — entry mutation
+    /// requires `&mut self` (control plane), which Rust's exclusivity
+    /// guarantees cannot overlap with data-plane lookups.
+    #[inline]
+    pub fn lookup(&self, key: &K) -> Option<&A> {
         self.entries.get(key)
     }
 
@@ -133,19 +109,6 @@ impl<K: Eq + Hash + Clone, A: Clone> ExactMatchTable<K, A> {
     /// Control-plane remove.
     pub fn remove(&mut self, key: &K) -> Result<A, TableError> {
         self.entries.remove(key).ok_or(TableError::NotFound)
-    }
-
-    /// `(lookups, hits)` counters, for switch statistics.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.lookups.load(Ordering::Relaxed),
-            self.hits.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Iterates over installed entries (control plane).
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &A)> {
-        self.entries.iter()
     }
 }
 
@@ -191,16 +154,6 @@ impl<A: Clone> LpmTable<A> {
         }
     }
 
-    /// Removes the route for `prefix/len`, if present.
-    pub fn remove(&mut self, prefix: u32, len: u8) -> Option<A> {
-        let masked = Self::mask(prefix, len);
-        let removed = self.maps[len as usize].remove(&masked);
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        removed
-    }
-
     /// Longest-prefix-match lookup.
     pub fn lookup(&self, addr: u32) -> Option<&A> {
         for len in (0..=32u8).rev() {
@@ -238,28 +191,27 @@ mod tests {
 
     #[test]
     fn exact_match_basic() {
-        let mut t: ExactMatchTable<u64, u32> = ExactMatchTable::new("t", 4);
+        let mut t: ExactMatchTable<u64, u32> = ExactMatchTable::new(4);
         t.insert(1, 100).unwrap();
         let t = t; // lookup is a data-plane read: `&self` suffices
-        assert_eq!(t.lookup(&1), Some(100));
+        assert_eq!(t.lookup(&1), Some(&100));
         assert_eq!(t.lookup(&2), None);
-        assert_eq!(t.stats(), (2, 1));
     }
 
     #[test]
     fn exact_match_capacity_enforced() {
-        let mut t: ExactMatchTable<u64, u32> = ExactMatchTable::new("t", 2);
+        let mut t: ExactMatchTable<u64, u32> = ExactMatchTable::new(2);
         t.insert(1, 1).unwrap();
         t.insert(2, 2).unwrap();
         assert!(matches!(t.insert(3, 3), Err(TableError::Full { .. })));
         // Replacing an existing key is allowed at capacity.
         t.insert(1, 10).unwrap();
-        assert_eq!(t.lookup(&1), Some(10));
+        assert_eq!(t.lookup(&1), Some(&10));
     }
 
     #[test]
     fn exact_match_remove() {
-        let mut t: ExactMatchTable<u64, u32> = ExactMatchTable::new("t", 2);
+        let mut t: ExactMatchTable<u64, u32> = ExactMatchTable::new(2);
         t.insert(1, 1).unwrap();
         assert_eq!(t.remove(&1), Ok(1));
         assert_eq!(t.remove(&1), Err(TableError::NotFound));
@@ -295,16 +247,6 @@ mod tests {
         for i in 0..128u32 {
             assert_eq!(t.lookup(0x0a00_0100 + i), Some(&(i as u16)));
         }
-    }
-
-    #[test]
-    fn lpm_remove_restores_shorter_match() {
-        let mut t: LpmTable<&'static str> = LpmTable::new();
-        t.insert(0x0a00_0000, 8, "coarse");
-        t.insert(0x0a01_0000, 16, "fine");
-        assert_eq!(t.lookup(0x0a01_0001), Some(&"fine"));
-        assert_eq!(t.remove(0x0a01_0000, 16), Some("fine"));
-        assert_eq!(t.lookup(0x0a01_0001), Some(&"coarse"));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property tests of the data-plane building blocks.
 
+use std::cmp::Ordering;
+
 use netcache_dataplane::program::status::CacheStatus;
 use netcache_dataplane::program::values::ValueStages;
 use netcache_dataplane::table::LpmTable;
@@ -103,7 +105,7 @@ proptest! {
         versions.remove(0);
         for (i, v) in versions.into_iter().enumerate() {
             let epoch = (i + 1) as u64;
-            let applied = status.apply_update(epoch, 0, v);
+            let applied = status.apply_update(epoch, 0, v) == Ordering::Greater;
             if applied {
                 prop_assert!(
                     v.wrapping_sub(newest) as i32 > 0,

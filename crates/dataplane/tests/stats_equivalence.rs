@@ -41,7 +41,7 @@ fn register_array_cms_equals_standalone_cms() {
         let reference = standalone.row(row);
         for (slot, &want) in reference.iter().enumerate() {
             assert_eq!(
-                stats.cms_row(row).peek(slot),
+                stats.cms_rows()[row].peek(slot),
                 want,
                 "row {row} slot {slot} diverged"
             );
@@ -60,7 +60,7 @@ fn register_array_cms_equals_standalone_cms() {
                 let mut min = u16::MAX;
                 for row in 0..config.cms_depth {
                     let slot = standalone.slot(row, key.as_bytes());
-                    min = min.min(stats.cms_row(row).peek(slot));
+                    min = min.min(stats.cms_rows()[row].peek(slot));
                 }
                 min
             },
@@ -87,7 +87,7 @@ fn sampling_only_thins_counts_never_inflates() {
     for row in 0..config.cms_depth {
         for slot in 0..config.cms_width {
             assert!(
-                sampled.cms_row(row).peek(slot) <= full.cms_row(row).peek(slot),
+                sampled.cms_rows()[row].peek(slot) <= full.cms_rows()[row].peek(slot),
                 "sampling inflated a counter at row {row} slot {slot}"
             );
         }

@@ -14,7 +14,7 @@ use netcache_client::{ClientConfig, NetCacheClient};
 use netcache_controller::{
     ChainManager, Controller, ControllerStats, KeyHome, NodeAddr, ServerBackend,
 };
-use netcache_dataplane::{NetCacheSwitch, PortId, SwitchDriver, SwitchStats};
+use netcache_dataplane::{NetCacheSwitch, PortId, SwitchStats};
 use netcache_proto::{Key, Packet, Value};
 use netcache_server::{AgentConfig, ServerAgent, ServerStats};
 use parking_lot::{Mutex, RwLock};
@@ -368,7 +368,7 @@ impl FabricCore {
         {
             let mut switch = self.switch.write();
             let mut controller = self.controller.lock();
-            controller.run_cycle(&mut *switch, &mut backend, now);
+            controller.run_cycle(&mut switch, &mut backend, now);
         }
         backend.released
     }
@@ -390,7 +390,7 @@ impl FabricCore {
         let inserted = {
             let mut switch = self.switch.write();
             let mut controller = self.controller.lock();
-            controller.populate(&mut *switch, &mut backend, keys)
+            controller.populate(&mut switch, &mut backend, keys)
         };
         (inserted, backend.released)
     }
@@ -404,7 +404,7 @@ impl FabricCore {
         let pipes = self.config.switch.pipes;
         let mut moved = 0;
         for pipe in 0..pipes {
-            moved += controller.reorganize_pipe(&mut *switch, pipe);
+            moved += controller.reorganize_pipe(&mut switch, pipe);
         }
         moved
     }
@@ -428,10 +428,10 @@ impl FabricCore {
         );
         if let Some(cm) = chains {
             // Chain membership survives the switch reboot (it lives in the
-            // controller, like the routes live in the driver); reinstall
-            // the chain tables the reboot may have cleared.
+            // controller, like the routes live in the driver), and so does
+            // the switch's chain table; re-pushing it keeps the two in step.
             controller.enable_replication(cm);
-            controller.install_chains(&mut *switch);
+            controller.install_chains(&mut switch);
         }
     }
 }

@@ -57,7 +57,7 @@ use netcache::{
 };
 use netcache_client::{ClientConfig, NetCacheClient};
 use netcache_controller::{Controller, ControllerConfig, KeyHome, ServerBackend};
-use netcache_dataplane::{NetCacheSwitch, PortId, SwitchConfig, SwitchDriver};
+use netcache_dataplane::{NetCacheSwitch, PortId, SwitchConfig};
 use netcache_proto::{Key, Op, Packet, Value};
 use netcache_store::Partitioner;
 use netcache_workload::ZipfGenerator;
