@@ -16,7 +16,7 @@
 
 use netcache::{seed_from_env, Json};
 use netcache_bench::failover::{failover_result_json, run_failover};
-use netcache_bench::scaleout::{run_scaleout, scaleout_result_json, SCALEOUT_RACKS};
+use netcache_bench::scaleout::{run_scaleout, scaleout_result_json, ScaleOutShape};
 use netcache_bench::scenario::{named_report_json, parse_cli, write_json_file};
 use netcache_bench::{banner, base_sim, fmt_qps, run_saturated, to_paper_scale};
 use netcache_sim::SimConfig;
@@ -33,8 +33,24 @@ const SIZE_MIX_SEED: u64 = 0x512e;
 /// values, a tail of chunked 4 KB blobs (`(value_len, weight)` pairs).
 const MIXED_SIZES: &[(usize, u32)] = &[(64, 80), (512, 15), (4096, 5)];
 
-/// Queries per leaf rack in each scale-out sweep point.
-const SCALEOUT_OPS_PER_RACK: u64 = 2_000;
+/// Rack counts the scale-out rows sweep.
+const SCALEOUT_RACKS: [u32; 4] = [16, 32, 64, 128];
+
+/// The scale-out fabric: two servers per rack, small on purpose (the
+/// interesting contention is between racks, and total work is
+/// O(racks * reads_per_rack)); one spine per 8 racks keeps the spine layer
+/// proportionally provisioned as the fabric grows (DistCache's
+/// constant-factor guarantee assumes the spine pool scales with the leaf
+/// pool); 2 BQPS switches.
+const SCALEOUT: ScaleOutShape = ScaleOutShape {
+    servers_per_rack: 2,
+    racks_per_spine: 8,
+    num_keys: 16_384,
+    leaf_cache_items: 64,
+    spine_cache_items: 512,
+    switch_rate: 2e9,
+    reads_per_rack: 2_000,
+};
 
 /// Workload ops per failover phase.
 const FAILOVER_OPS: u64 = 4_000;
@@ -204,7 +220,7 @@ fn main() {
     );
     let mut scaleout_rows = Vec::new();
     for racks in SCALEOUT_RACKS {
-        let r = run_scaleout(racks, SCALEOUT_OPS_PER_RACK, seed);
+        let r = run_scaleout(&SCALEOUT, racks, seed);
         println!(
             "{:>32} {:>14} {:>14} {:>8.3} {:>7.2}x",
             format!("scaleout/racks-{racks}"),
@@ -246,9 +262,10 @@ fn main() {
     let payload = format!(
         "{{\"schema\":\"netcache-bench/v2\",\"seed\":{seed},\n\
          \"scenarios\":[\n{}\n],\n\
-         \"scaleout\":{{\"ops_per_rack\":{SCALEOUT_OPS_PER_RACK},\"scenarios\":[\n{}\n]}},\n\
+         \"scaleout\":{{\"ops_per_rack\":{},\"scenarios\":[\n{}\n]}},\n\
          \"failover\":\n{}\n}}\n",
         rows.join(",\n"),
+        SCALEOUT.reads_per_rack,
         scaleout_rows.join(",\n"),
         failover_result_json(&fo)
     );

@@ -9,8 +9,7 @@
 
 use netcache::json::fmt_f64;
 use netcache_bench::scenario::{fig_json, parse_cli, report_json, write_json_file};
-use netcache_bench::{banner, base_sim, fmt_qps, run_saturated, to_paper_scale, PARTITION_SEED};
-use netcache_sim::AnalyticModel;
+use netcache_bench::{banner, base_sim, fmt_qps, run_saturated, to_paper_scale};
 
 fn main() {
     let cli = parse_cli("fig10a_throughput", "");
@@ -66,39 +65,6 @@ fn main() {
         }
     }
 
-    println!();
-    println!("Analytic cross-check (closed-form saturation, §7.1 methodology):");
-    println!(
-        "{:>9} {:>14} {:>14} {:>9}",
-        "skew", "NoCache", "NetCache", "speedup"
-    );
-    for (label, theta) in [("zipf-.90", 0.90), ("zipf-.95", 0.95), ("zipf-.99", 0.99)] {
-        let no = AnalyticModel::new(
-            servers,
-            netcache_bench::NUM_KEYS,
-            theta,
-            0,
-            10e6,
-            2e9,
-            PARTITION_SEED,
-        );
-        let yes = AnalyticModel::new(
-            servers,
-            netcache_bench::NUM_KEYS,
-            theta,
-            cache_items as u64,
-            10e6,
-            2e9,
-            PARTITION_SEED,
-        );
-        println!(
-            "{:>9} {:>14} {:>14} {:>8.1}x",
-            label,
-            fmt_qps(no.saturated_throughput()),
-            fmt_qps(yes.saturated_throughput()),
-            yes.saturated_throughput() / no.saturated_throughput()
-        );
-    }
     println!("(paper: 3.6x / 6.5x / 10x at zipf 0.9 / 0.95 / 0.99)");
     if let Some(path) = cli.json {
         write_json_file(

@@ -8,8 +8,7 @@
 
 use netcache::json::fmt_f64;
 use netcache_bench::scenario::{fig_json, parse_cli, write_json_file};
-use netcache_bench::{banner, base_sim, run_saturated, to_paper_scale, PARTITION_SEED, SCALE};
-use netcache_sim::AnalyticModel;
+use netcache_bench::{banner, base_sim, run_saturated, to_paper_scale};
 
 fn main() {
     let cli = parse_cli("fig10e_cache_size", "");
@@ -59,27 +58,6 @@ fn main() {
         ));
     }
 
-    println!();
-    println!("Analytic sweep (finer grid, MQPS at paper scale):");
-    println!("{:>8} {:>12} {:>12}", "items", "zipf-.90", "zipf-.99");
-    for size in [
-        0u64, 10, 50, 100, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000,
-    ] {
-        let mut cells = Vec::new();
-        for theta in [0.90, 0.99] {
-            let m = AnalyticModel::new(
-                servers,
-                netcache_bench::NUM_KEYS,
-                theta,
-                size,
-                2_000.0,
-                4e5,
-                PARTITION_SEED,
-            );
-            cells.push(m.saturated_throughput() * SCALE / 1e6);
-        }
-        println!("{:>8} {:>12.0} {:>12.0}", size, cells[0], cells[1]);
-    }
     println!();
     println!(
         "Paper: ~1,000 items already restore the uniform-workload level \

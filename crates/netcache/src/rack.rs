@@ -66,12 +66,14 @@ enum Hop {
 }
 
 /// The buffers of one forwarding loop. A [`RackClient`]'s link owns a
-/// set and every request clears — not drops — them, so a steady-state
-/// request allocates nothing here; [`Rack::execute`] and [`Rack::tick`]
-/// run the same loop over a fresh set. The loop leaves every buffer but
-/// `to_clients`, its result, empty (the event queue keeps its capacity).
+/// set, and so does any driver that injects through
+/// [`Rack::execute_each`]; every request clears — not drops — them, so a
+/// steady-state request allocates nothing here. [`Rack::execute`] and
+/// [`Rack::tick`] run the same loop over a fresh set. The loop leaves
+/// every buffer but `to_clients`, its result, empty (the event queue
+/// keeps its capacity).
 #[derive(Default)]
-struct DriveScratch {
+pub struct DriveScratch {
     events: EventQueue<Hop>,
     /// Packets that exited toward clients, as `(client_index, packet)`.
     to_clients: Vec<(u32, Packet)>,
@@ -152,6 +154,23 @@ impl Rack {
         let mut scratch = DriveScratch::default();
         self.execute_with(&mut scratch, pkt, in_port);
         scratch.to_clients
+    }
+
+    /// [`Rack::execute`] over caller-owned buffers, handing each
+    /// client-bound packet to `reply` as `(client_index, packet)`: a driver
+    /// that keeps one [`DriveScratch`] across injections allocates nothing
+    /// per packet.
+    pub fn execute_each(
+        &self,
+        s: &mut DriveScratch,
+        pkt: Packet,
+        in_port: PortId,
+        mut reply: impl FnMut(u32, Packet),
+    ) {
+        self.execute_with(s, pkt, in_port);
+        for (j, pkt) in s.to_clients.drain(..) {
+            reply(j, pkt);
+        }
     }
 
     /// [`Rack::execute`] over caller-owned buffers; the client-bound

@@ -13,8 +13,9 @@
 //!                                 switch, misses by non-saturated servers)
 //! ```
 //!
-//! The model cross-checks the discrete-event simulator and powers the wide
-//! sweeps of Fig. 10(e).
+//! The figure binaries use it to seed a simulation's starting client rate
+//! (`run_saturated`) and to size the offered-load sweep of Fig. 10(c); the
+//! numbers they print all come from the discrete-event simulator.
 
 use netcache_proto::Key;
 use netcache_store::Partitioner;
@@ -23,7 +24,6 @@ use netcache_workload::ZipfGenerator;
 /// Analytic single-rack model.
 #[derive(Debug, Clone)]
 pub struct AnalyticModel {
-    servers: u32,
     per_server_uncached: Vec<f64>,
     cached_mass: f64,
     server_rate: f64,
@@ -69,7 +69,6 @@ impl AnalyticModel {
             }
         }
         AnalyticModel {
-            servers,
             per_server_uncached,
             cached_mass,
             server_rate,
@@ -77,20 +76,10 @@ impl AnalyticModel {
         }
     }
 
-    /// Probability mass absorbed by the cache (the best-case hit ratio).
-    pub fn cache_mass(&self) -> f64 {
-        self.cached_mass
-    }
-
-    /// Load share of the most loaded server.
-    pub fn max_server_share(&self) -> f64 {
-        self.per_server_uncached.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Maximum client rate with no server overloaded (and the switch under
     /// its cap): the saturated system throughput.
     pub fn saturated_throughput(&self) -> f64 {
-        let max_share = self.max_server_share();
+        let max_share = self.per_server_uncached.iter().copied().fold(0.0, f64::max);
         let server_bound = if max_share > 0.0 {
             self.server_rate / max_share
         } else {
@@ -109,30 +98,6 @@ impl AnalyticModel {
             bound
         }
     }
-
-    /// The cache's share of the saturated throughput.
-    pub fn cache_throughput(&self) -> f64 {
-        self.saturated_throughput() * self.cached_mass
-    }
-
-    /// The servers' share of the saturated throughput.
-    pub fn server_throughput(&self) -> f64 {
-        self.saturated_throughput() * (1.0 - self.cached_mass)
-    }
-
-    /// Per-server load (QPS) at saturation, for Fig. 10(b).
-    pub fn per_server_throughput(&self) -> Vec<f64> {
-        let rate = self.saturated_throughput();
-        self.per_server_uncached
-            .iter()
-            .map(|share| share * rate)
-            .collect()
-    }
-
-    /// Aggregate server capacity (`N·T`): the uniform-workload ideal.
-    pub fn aggregate_capacity(&self) -> f64 {
-        f64::from(self.servers) * self.server_rate
-    }
 }
 
 #[cfg(test)]
@@ -145,9 +110,8 @@ mod tests {
 
     #[test]
     fn uniform_nocache_is_near_ideal() {
-        let m = model(0.0, 0);
-        let ideal = m.aggregate_capacity();
-        let sat = m.saturated_throughput();
+        let ideal = 128.0 * 10e6;
+        let sat = model(0.0, 0).saturated_throughput();
         // Hash partitioning over 100K keys: within ~20% of perfect balance.
         assert!(sat > ideal * 0.75, "sat {sat:.3e} vs ideal {ideal:.3e}");
         assert!(sat <= ideal * 1.01);
@@ -193,12 +157,10 @@ mod tests {
         // Paper Fig. 10(e): ~1000 cached items balance 128 servers back to
         // the uniform-workload level.
         let uniform = model(0.0, 0).saturated_throughput();
-        let cached = model(0.99, 1000);
-        let server_side = cached.server_throughput() + 0.0;
-        let total = cached.saturated_throughput();
+        let total = model(0.99, 1000).saturated_throughput();
         assert!(
             total >= uniform * 0.8,
-            "total {total:.3e} vs uniform {uniform:.3e} (servers {server_side:.3e})"
+            "total {total:.3e} vs uniform {uniform:.3e}"
         );
     }
 
@@ -206,14 +168,14 @@ mod tests {
     fn switch_cap_binds_under_extreme_caching() {
         // With everything cached, the switch pipe rate is the limit.
         let m = AnalyticModel::new(4, 100, 0.9, 100, 1000.0, 50_000.0, 1);
-        assert!(m.cache_mass() > 0.999);
+        assert!(m.cached_mass > 0.999);
         assert!((m.saturated_throughput() - 50_000.0).abs() < 1.0);
     }
 
     #[test]
     fn shares_sum_to_one() {
         let m = model(0.99, 10_000);
-        let total: f64 = m.per_server_uncached.iter().sum::<f64>() + m.cache_mass();
+        let total: f64 = m.per_server_uncached.iter().sum::<f64>() + m.cached_mass;
         assert!((total - 1.0).abs() < 1e-9);
     }
 }

@@ -1,27 +1,21 @@
-//! Scale-out to multiple racks (Fig. 10(f), §5 "Scaling to multiple
-//! racks"), both as the paper's analytical model and as a *real*
+//! Scale-out to multiple racks (§5 "Scaling to multiple racks"): a *real*
 //! two-layer deployment in the DistCache direction.
 //!
 //! The paper simulates up to 4096 servers on 32 racks with read-only
-//! workloads, assuming switches absorb the queries to the items they
-//! cache. Three schemes:
+//! workloads and compares three schemes (Fig. 10(f)): NoCache, Leaf-Cache
+//! (each ToR caches the hottest keys *of its own rack*) and
+//! Leaf-Spine-Cache (spine switches additionally cache the globally
+//! hottest keys). Here the three schemes are cache sizes of one fabric —
+//! `leaf_cache_items` and `spine_cache_items`, either or both of which may
+//! be zero — and `netcache-bench`'s `scaleout` module measures them by
+//! driving reads through it.
 //!
-//! - **NoCache** — bottlenecked by the single most-loaded server; adding
-//!   servers does not help ("the overall system throughput of NoCache
-//!   stays very low and is not growing").
-//! - **LeafCache** — each ToR caches the hottest keys *of its own rack*,
-//!   balancing servers within a rack; the load imbalance *between* racks
-//!   remains and caps scaling.
-//! - **LeafSpineCache** — spine switches additionally cache the globally
-//!   hottest keys, balancing across racks; throughput grows linearly.
-//!
-//! [`MultiRackModel`] is the closed-form account of those three schemes.
-//! [`MultiRack`] is the deployed counterpart: a spine cache layer built
-//! from the *same* [`NetCacheSwitch`] program and [`Controller`] control
-//! loop fronting N in-process leaf racks (each a full
-//! [`netcache::Rack`], driven directly: packets injected with
-//! [`Rack::execute`], clocks moved with [`Rack::advance`]), with the three
-//! DistCache ingredients made concrete:
+//! [`MultiRack`] is a spine cache layer built from the *same*
+//! [`NetCacheSwitch`] program and [`Controller`] control loop fronting N
+//! in-process leaf racks (each a full [`netcache::Rack`], driven
+//! directly: packets injected with [`Rack::execute_each`], clocks moved
+//! with [`Rack::advance`]), with the three DistCache ingredients made
+//! concrete:
 //!
 //! - **independent hash functions per layer** — keys map to leaf racks
 //!   by one seeded [`Partitioner`] (`rack_seed`) and to spine switches
@@ -51,6 +45,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use netcache::addressing::SERVER_IP_BASE;
+use netcache::rack::DriveScratch;
 use netcache::{
     Client, ClientCounters, FaultConfig, Link, Rack, RackError, RackHandle, ShardedHistogram,
     Synchronous,
@@ -60,7 +55,6 @@ use netcache_controller::{Controller, ControllerConfig, KeyHome, ServerBackend};
 use netcache_dataplane::{NetCacheSwitch, PortId, SwitchConfig};
 use netcache_proto::{Key, Op, Packet, Value};
 use netcache_store::Partitioner;
-use netcache_workload::ZipfGenerator;
 
 use crate::rack_sim::{rack_config_for, SimConfig};
 
@@ -68,20 +62,7 @@ use crate::rack_sim::{rack_config_for, SimConfig};
 /// per-spine seeds from the configuration seed.
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Which scale-out caching scheme to model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleOutScheme {
-    /// No caching anywhere.
-    NoCache,
-    /// ToR (leaf) caches only.
-    LeafCache,
-    /// Spine caches over leaf caches.
-    LeafSpineCache,
-}
-
-/// Multi-rack configuration, shared by the analytical model and the
-/// deployed [`MultiRack`]. The model reads the workload/rate fields; the
-/// deployment additionally reads the topology and seeding fields.
+/// Configuration of a deployed [`MultiRack`].
 #[derive(Debug, Clone)]
 pub struct MultiRackConfig {
     /// Servers per rack (128 in the paper).
@@ -90,18 +71,11 @@ pub struct MultiRackConfig {
     pub num_keys: u64,
     /// Zipf skew (0.99 in the paper's Fig. 10(f)).
     pub theta: f64,
-    /// Items cached per ToR switch.
+    /// Items cached per ToR switch (0 = no leaf cache).
     pub leaf_cache_items: usize,
     /// Items cached in the spine layer (globally hottest keys), summed
     /// over all spine switches in the deployment.
     pub spine_cache_items: usize,
-    /// Per-server rate, QPS.
-    pub server_rate: f64,
-    /// A ToR switch's packet rate, QPS — every query into or served by a
-    /// rack crosses its ToR, so the most-loaded ToR caps the system.
-    pub leaf_switch_rate: f64,
-    /// A spine switch's packet rate, QPS (deployment-derived goodput).
-    pub spine_switch_rate: f64,
     /// Intra-rack partitioner seed (key → server within its rack).
     pub partition_seed: u64,
     /// Leaf racks in the deployment.
@@ -142,9 +116,6 @@ impl Default for MultiRackConfig {
             theta: 0.99,
             leaf_cache_items: 10_000,
             spine_cache_items: 10_000,
-            server_rate: 10e6,
-            leaf_switch_rate: 2e9,
-            spine_switch_rate: 2e9,
             partition_seed: 1,
             racks: 4,
             spines: 2,
@@ -163,9 +134,10 @@ impl Default for MultiRackConfig {
 
 impl MultiRackConfig {
     /// Validates the configuration, with the same typed error the fabric
-    /// layer gives [`netcache::RackConfig`]. Zero racks, zero servers and
-    /// an entirely cache-less topology are rejected instead of silently
-    /// producing division-by-zero shares or an unconstructible rack.
+    /// layer gives [`netcache::RackConfig`]. Zero racks, spines, servers,
+    /// clients or keys are rejected instead of producing an
+    /// unconstructible fabric. A fabric with no cache in either layer is
+    /// valid: it is the NoCache scheme.
     pub fn validate(&self) -> Result<(), RackError> {
         let err = |msg: String| Err(RackError::InvalidConfig(msg));
         if self.racks == 0 {
@@ -183,21 +155,9 @@ impl MultiRackConfig {
         if self.num_keys == 0 {
             return err("num_keys must be positive".into());
         }
-        if self.leaf_cache_items == 0 && self.spine_cache_items == 0 {
-            return err("at least one cache layer must have items (leaf or spine)".into());
-        }
         if !(self.theta.is_finite() && (0.0..1.0).contains(&self.theta)) {
             // The Zipf generator (YCSB parameterization) requires θ < 1.
             return err(format!("theta {} out of range [0, 1)", self.theta));
-        }
-        for (name, rate) in [
-            ("server_rate", self.server_rate),
-            ("leaf_switch_rate", self.leaf_switch_rate),
-            ("spine_switch_rate", self.spine_switch_rate),
-        ] {
-            if !(rate.is_finite() && rate > 0.0) {
-                return err(format!("{name} {rate} must be finite and positive"));
-            }
         }
         if self.value_len == 0 || self.value_len > netcache_proto::MAX_VALUE_LEN {
             return err(format!(
@@ -215,113 +175,6 @@ impl MultiRackConfig {
         Ok(())
     }
 }
-
-/// The multi-rack saturated-throughput model.
-#[derive(Debug, Clone)]
-pub struct MultiRackModel {
-    config: MultiRackConfig,
-}
-
-impl MultiRackModel {
-    /// Creates the model, rejecting invalid configurations.
-    pub fn new(config: MultiRackConfig) -> Result<Self, RackError> {
-        config.validate()?;
-        Ok(MultiRackModel { config })
-    }
-
-    /// Saturated system throughput with `racks` racks under `scheme`.
-    ///
-    /// Keys are hash-partitioned over all `racks × servers_per_rack`
-    /// servers; server `s` belongs to rack `s / servers_per_rack`. Leaf
-    /// caches hold each rack's hottest owned keys; the spine cache holds
-    /// the globally hottest keys (queries to them never reach a rack).
-    ///
-    /// Two bounds cap the client rate `O`:
-    ///
-    /// - **server bound** — no server may exceed its rate:
-    ///   `O ≤ T / max_server_share(uncached)`;
-    /// - **ToR bound** — every query a rack receives (served by the ToR
-    ///   cache or by a server behind it) crosses its ToR, so
-    ///   `O ≤ R_tor / max_rack_share`. This is what limits leaf-only
-    ///   caching: the rack homing the globally hottest keys funnels a
-    ///   disproportionate share of all traffic through one ToR. Spine
-    ///   caching absorbs those keys *above* the ToRs (and the spine layer
-    ///   grows with the fabric), which is why Leaf-Spine scales linearly.
-    pub fn throughput(&self, racks: u32, scheme: ScaleOutScheme) -> f64 {
-        let c = &self.config;
-        let servers = racks * c.servers_per_rack;
-        let zipf = ZipfGenerator::new(c.num_keys, c.theta);
-        let partitioner = Partitioner::new(servers, c.partition_seed);
-
-        // Per-server uncached shares and per-rack total shares.
-        let mut server_share = vec![0.0f64; servers as usize];
-        let mut rack_share = vec![0.0f64; racks as usize];
-        // Per-rack (hottest-first) budget of leaf cache slots.
-        let mut leaf_budget = vec![
-            match scheme {
-                ScaleOutScheme::NoCache => 0usize,
-                _ => c.leaf_cache_items,
-            };
-            racks as usize
-        ];
-        let spine_budget = match scheme {
-            ScaleOutScheme::LeafSpineCache => c.spine_cache_items as u64,
-            _ => 0,
-        };
-
-        for rank in 0..c.num_keys {
-            let p = zipf.probability(rank);
-            // Spine cache absorbs the globally hottest keys first, before
-            // traffic fans out to racks.
-            if rank < spine_budget {
-                continue;
-            }
-            let server = partitioner.partition_of(&Key::from_u64(rank)) as usize;
-            let rack = server / c.servers_per_rack as usize;
-            rack_share[rack] += p;
-            // Leaf cache: each ToR caches the hottest keys homed in its
-            // rack. Ranks arrive hottest-first, so a simple budget per
-            // rack implements "the rack's top-K keys".
-            if leaf_budget[rack] > 0 {
-                leaf_budget[rack] -= 1;
-                continue;
-            }
-            server_share[server] += p;
-        }
-        let max_server_share = server_share.iter().copied().fold(0.0, f64::max);
-        let max_rack_share = rack_share.iter().copied().fold(0.0, f64::max);
-        let server_bound = if max_server_share > 0.0 {
-            c.server_rate / max_server_share
-        } else {
-            f64::INFINITY
-        };
-        let tor_bound = if max_rack_share > 0.0 {
-            c.leaf_switch_rate / max_rack_share
-        } else {
-            f64::INFINITY
-        };
-        let bound = server_bound.min(tor_bound);
-        if bound.is_infinite() {
-            // Everything spine-cached: the spine layer scales with the
-            // fabric; report the aggregate server capacity as the paper's
-            // linear reference.
-            return f64::from(servers) * c.server_rate;
-        }
-        bound
-    }
-
-    /// The throughput series over rack counts, for one scheme.
-    pub fn series(&self, rack_counts: &[u32], scheme: ScaleOutScheme) -> Vec<f64> {
-        rack_counts
-            .iter()
-            .map(|&r| self.throughput(r, scheme))
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The deployed two-layer fabric.
-// ---------------------------------------------------------------------------
 
 /// One spine switch and its controller. The switch runs the same compiled
 /// NetCache program as a ToR: ports `0..racks` are downlinks (one per
@@ -723,23 +576,35 @@ impl MultiRack {
         });
         let epoch = self.client_epochs.fetch_add(1, Ordering::Relaxed);
         client.start_seq_at(epoch.wrapping_shl(24) | 1);
-        Client::new(MultiRackLink { mr: self, index: j }, client)
+        let link = MultiRackLink {
+            mr: self,
+            index: j,
+            scratch: DriveScratch::default(),
+        };
+        Client::new(link, client)
     }
 
-    /// Routes one client packet through the fabric and returns the
-    /// replies destined for client `j`.
+    /// Routes one client packet through the fabric, handing each reply
+    /// destined for client `j` to `reply`. `scratch` is the caller's
+    /// forwarding buffers for the leaf racks (one set serves every rack).
     ///
     /// Reads of spine-cached keys pick the less-loaded of the key's two
     /// cache copies (p2c between the owning leaf ToR and the spine);
     /// everything else — all writes, reads of uncached keys — crosses the
     /// key's spine switch, feeding its heavy-hitter sketch and keeping
     /// spine copies coherent on writes.
-    pub fn route(&self, pkt: Packet, j: u32) -> Vec<Packet> {
+    fn route(
+        &self,
+        scratch: &mut DriveScratch,
+        pkt: Packet,
+        j: u32,
+        mut reply: impl FnMut(Packet),
+    ) {
         let mut st = self.state.lock().expect("state mutex");
         let key = pkt.netcache.key;
         let r = self.rack_hash.partition_of(&key);
         if st.spines.is_empty() {
-            return self.deliver_to_rack(&mut st, r, pkt, j);
+            return self.deliver_to_rack(&mut st, scratch, r, pkt, j, reply);
         }
         let s = self.spine_of(&key) as usize;
         if pkt.netcache.op == Op::Get && st.spines[s].controller.is_cached(&key) {
@@ -757,7 +622,7 @@ impl MultiRack {
             // the spine layer exists to absorb.
             if st.tor_window[r as usize] < st.spine_window[s] {
                 st.leaf_bypass += 1;
-                return self.deliver_to_rack(&mut st, r, pkt, j);
+                return self.deliver_to_rack(&mut st, scratch, r, pkt, j, reply);
             }
             st.spine_window[s] += 1;
         }
@@ -766,7 +631,7 @@ impl MultiRack {
             .switch
             .process(pkt, (self.config.racks + j) as PortId);
         let Some((port, mut out)) = out else {
-            return Vec::new();
+            return;
         };
         if (port as u32) < self.config.racks {
             // Forwarded down to a leaf rack. The spine already
@@ -780,13 +645,13 @@ impl MultiRack {
                 Op::DeleteCached => out.netcache.op = Op::Delete,
                 _ => {}
             }
-            self.deliver_to_rack(&mut st, port as u32, out, j)
+            self.deliver_to_rack(&mut st, scratch, port as u32, out, j, reply);
         } else {
             // Uplink: served by the spine cache.
             if out.netcache.op == Op::GetReplyHit {
                 st.spine_hits += 1;
             }
-            vec![out]
+            reply(out);
         }
     }
 
@@ -794,20 +659,29 @@ impl MultiRack {
     /// the destination to the key's home server inside the rack — the
     /// only packet field the inter-rack layer addresses differently — and
     /// runs the rack's forwarding loop. Dead racks drop at the boundary.
-    fn deliver_to_rack(&self, st: &mut ScaleState, r: u32, mut pkt: Packet, j: u32) -> Vec<Packet> {
+    fn deliver_to_rack(
+        &self,
+        st: &mut ScaleState,
+        scratch: &mut DriveScratch,
+        r: u32,
+        mut pkt: Packet,
+        j: u32,
+        mut reply: impl FnMut(Packet),
+    ) {
         st.tor_window[r as usize] += 1;
         st.tor_loads[r as usize] += 1;
         if st.killed[r as usize] {
             st.dead_drops += 1;
-            return Vec::new();
+            return;
         }
         let rack = &self.racks[r as usize];
         let home = rack.addressing().home_of(&pkt.netcache.key);
         pkt.ipv4.dst = home.server_ip;
-        let out = rack.execute(pkt, rack.addressing().client_port(j));
-        out.into_iter()
-            .filter_map(|(idx, p)| (idx == j).then_some(p))
-            .collect()
+        rack.execute_each(scratch, pkt, rack.addressing().client_port(j), |idx, p| {
+            if idx == j {
+                reply(p);
+            }
+        });
     }
 
     /// Snapshot of the fabric's load distribution and routing counters.
@@ -925,14 +799,14 @@ impl ServerBackend for SpineBackend<'_> {
 pub struct MultiRackLink<'a> {
     mr: &'a MultiRack,
     index: u32,
+    /// The leaf racks' forwarding buffers, reused by every request.
+    scratch: DriveScratch,
 }
 
 impl Link for MultiRackLink<'_> {
     fn transmit(&mut self, pkt: Cow<'_, Packet>, reply: impl FnMut(Packet)) {
         self.mr
-            .route(pkt.into_owned(), self.index)
-            .into_iter()
-            .for_each(reply);
+            .route(&mut self.scratch, pkt.into_owned(), self.index, reply);
     }
 
     fn wait(&mut self, timeout_ns: u64, _want_seq: u32, mut reply: impl FnMut(Packet)) {
@@ -1059,76 +933,6 @@ mod tests {
     use super::*;
     use netcache_client::Response;
 
-    fn model() -> MultiRackModel {
-        // Paper scale (128 servers/rack, 10 MQPS servers, 2 BQPS ToRs)
-        // with a reduced keyspace to keep the O(num_keys) passes fast.
-        MultiRackModel::new(MultiRackConfig {
-            servers_per_rack: 128,
-            num_keys: 200_000,
-            leaf_cache_items: 1_000,
-            spine_cache_items: 1_000,
-            ..MultiRackConfig::default()
-        })
-        .expect("valid config")
-    }
-
-    #[test]
-    fn nocache_does_not_scale() {
-        let m = model();
-        let t1 = m.throughput(1, ScaleOutScheme::NoCache);
-        let t32 = m.throughput(32, ScaleOutScheme::NoCache);
-        assert!(
-            t32 < t1 * 4.0,
-            "NoCache should stay near-flat: {t1:.3e} → {t32:.3e}"
-        );
-    }
-
-    #[test]
-    fn leaf_cache_scales_sublinearly() {
-        let m = model();
-        let t1 = m.throughput(1, ScaleOutScheme::LeafCache);
-        let t32 = m.throughput(32, ScaleOutScheme::LeafCache);
-        let scaling = t32 / t1;
-        assert!(
-            scaling > 1.1 && scaling < 24.0,
-            "LeafCache scaling {scaling} should be limited by inter-rack imbalance"
-        );
-    }
-
-    #[test]
-    fn leaf_spine_scales_linearly() {
-        let m = model();
-        let t1 = m.throughput(1, ScaleOutScheme::LeafSpineCache);
-        let t32 = m.throughput(32, ScaleOutScheme::LeafSpineCache);
-        let scaling = t32 / t1;
-        assert!(
-            scaling > 16.0,
-            "Leaf-Spine-Cache scaling {scaling} should be near-linear (32×)"
-        );
-    }
-
-    #[test]
-    fn ordering_matches_paper() {
-        let m = model();
-        for racks in [4u32, 16, 32] {
-            let no = m.throughput(racks, ScaleOutScheme::NoCache);
-            let leaf = m.throughput(racks, ScaleOutScheme::LeafCache);
-            let spine = m.throughput(racks, ScaleOutScheme::LeafSpineCache);
-            assert!(
-                no < leaf && leaf <= spine,
-                "racks {racks}: {no:.3e} / {leaf:.3e} / {spine:.3e}"
-            );
-        }
-    }
-
-    #[test]
-    fn series_matches_pointwise() {
-        let m = model();
-        let series = m.series(&[1, 2, 4], ScaleOutScheme::LeafCache);
-        assert_eq!(series.len(), 3);
-        assert_eq!(series[0], m.throughput(1, ScaleOutScheme::LeafCache));
-    }
-
     #[test]
     fn invalid_configs_are_typed_errors() {
         for broken in [
@@ -1149,16 +953,7 @@ mod tests {
                 ..MultiRackConfig::default()
             },
             MultiRackConfig {
-                leaf_cache_items: 0,
-                spine_cache_items: 0,
-                ..MultiRackConfig::default()
-            },
-            MultiRackConfig {
                 theta: f64::NAN,
-                ..MultiRackConfig::default()
-            },
-            MultiRackConfig {
-                server_rate: 0.0,
                 ..MultiRackConfig::default()
             },
             MultiRackConfig {
@@ -1166,11 +961,11 @@ mod tests {
                 ..MultiRackConfig::default()
             },
         ] {
-            match MultiRackModel::new(broken.clone()) {
+            match MultiRack::new(broken.clone()) {
                 Err(RackError::InvalidConfig(_)) => {}
-                other => panic!("expected InvalidConfig for {broken:?}, got {other:?}"),
+                Err(other) => panic!("expected InvalidConfig for {broken:?}, got {other:?}"),
+                Ok(mr) => panic!("expected InvalidConfig for {broken:?}, built {mr:?}"),
             }
-            assert!(MultiRack::new(broken).is_err());
         }
     }
 
@@ -1200,6 +995,29 @@ mod tests {
         assert!(matches!(resp.response(), Response::PutAck { .. }));
         let resp = c.get(k).expect("reply");
         assert_eq!(resp.value().expect("value"), &Value::filled(0xaa, 32));
+    }
+
+    #[test]
+    fn cacheless_fabric_serves_every_read_from_servers() {
+        // The NoCache scheme: no cache in either layer.
+        let mr = MultiRack::new(MultiRackConfig {
+            leaf_cache_items: 0,
+            spine_cache_items: 0,
+            ..small_config()
+        })
+        .unwrap();
+        let mut c = mr.client(0);
+        for id in 0..mr.config().num_keys {
+            let resp = c.get(Key::from_u64(id)).expect("reply");
+            assert!(!resp.served_by_cache());
+            assert_eq!(resp.value().expect("value"), &Value::for_item(id, 32));
+        }
+        let report = mr.report();
+        assert_eq!((report.spine_hits, report.leaf_hits), (0, 0), "{report:?}");
+        assert_eq!(
+            report.server_loads.iter().sum::<u64>(),
+            mr.config().num_keys
+        );
     }
 
     #[test]

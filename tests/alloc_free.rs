@@ -1,8 +1,9 @@
 //! The pin on the allocation-free packet path (DESIGN.md §16): once a rack
 //! is warm, a get — cached or not, single-attempt or retrying, pipelined
 //! or one at a time — allocates nothing anywhere between the client call
-//! and its reply, in process and over UDP on every socket backend, and a
-//! same-length put allocates nothing but amortised table growth. The switch hardware this models has no allocator on that path;
+//! and its reply, in process, through the multi-rack fabric and over UDP
+//! on every socket backend, and a same-length put allocates nothing but
+//! amortised table growth. The switch hardware this models has no allocator on that path;
 //! neither does the model.
 //!
 //! A binary of its own with a single `#[test]`: the count is process-wide,
@@ -16,6 +17,7 @@ use netcache::runtime::RuntimeKind;
 use netcache::udp::{PipelineOp, UdpRack};
 use netcache::{Rack, RackConfig, RackHandle};
 use netcache_proto::{Key, Value};
+use netcache_sim::{MultiRack, MultiRackClient, MultiRackConfig};
 
 /// Allocation events (alloc, alloc_zeroed, realloc) in the whole process.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -134,6 +136,38 @@ fn in_process_rack() {
     get(&mut client, uncached_key(0), false);
 }
 
+/// The multi-rack leg: every key in `0..CACHED` is cached in its home
+/// ToR and in the spine, and p2c serves each get from one of the two
+/// copies; neither path allocates.
+fn multi_rack() {
+    let mr = MultiRack::new(MultiRackConfig {
+        racks: 2,
+        spines: 1,
+        servers_per_rack: 2,
+        num_keys: KEYS,
+        value_len: VALUE_LEN,
+        leaf_cache_items: CACHED as usize,
+        spine_cache_items: CACHED as usize,
+        ..MultiRackConfig::default()
+    })
+    .expect("valid fabric");
+    let mut client = mr.client(0);
+    let get = |client: &mut MultiRackClient<'_>, i: u64| {
+        let reply = client.get(cached_key(i)).expect("lossless fabric");
+        assert!(reply.served_by_cache());
+        assert_eq!(reply.value().map(Value::len), Some(VALUE_LEN));
+    };
+    (0..OPS).for_each(|i| get(&mut client, i));
+    let before = mr.report();
+    let allocs = allocs_during(|| (0..OPS).for_each(|i| get(&mut client, i)));
+    let after = mr.report();
+    assert!(
+        after.spine_hits > before.spine_hits && after.leaf_hits > before.leaf_hits,
+        "both cache layers serve: {before:?} -> {after:?}"
+    );
+    assert_eq!(allocs, 0, "{OPS} cached gets through MultiRackClient");
+}
+
 /// The UDP leg, once per socket backend this kernel runs (a uring rack on a
 /// kernel without io_uring would silently be a second batched one).
 fn udp_racks() {
@@ -224,6 +258,7 @@ fn switch_program() {
 #[test]
 fn steady_state_requests_do_not_allocate() {
     in_process_rack();
+    multi_rack();
     udp_racks();
     switch_program();
 }
