@@ -91,7 +91,7 @@ fn main() {
     if let Some(path) = cli.json {
         write_json_file(
             &path,
-            &fig_json("fig10c", netcache::seed_from_env(0x5eed), &rows),
+            &fig_json("fig10c", Some(netcache::seed_from_env(0x5eed)), &rows),
         );
     }
 }

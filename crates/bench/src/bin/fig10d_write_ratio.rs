@@ -65,7 +65,7 @@ fn main() {
     if let Some(path) = cli.json {
         write_json_file(
             &path,
-            &fig_json("fig10d", netcache::seed_from_env(0x5eed), &rows),
+            &fig_json("fig10d", Some(netcache::seed_from_env(0x5eed)), &rows),
         );
     }
 }

@@ -89,6 +89,6 @@ fn main() {
          (paper: limited), Leaf-Spine {s:.1}x (paper: ~linear, 32x)"
     );
     if let Some(path) = cli.json {
-        write_json_file(&path, &fig_json("fig10f", seed, &rows));
+        write_json_file(&path, &fig_json("fig10f", Some(seed), &rows));
     }
 }

@@ -151,7 +151,7 @@ fn main() {
     if let Some(path) = cli.json {
         write_json_file(
             &path,
-            &fig_json("fig11", netcache::seed_from_env(0x5eed), &rows),
+            &fig_json("fig11", Some(netcache::seed_from_env(0x5eed)), &rows),
         );
     }
 }

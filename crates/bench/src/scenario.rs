@@ -108,8 +108,11 @@ pub fn report_fields(report: &SimReport) -> String {
     fields
 }
 
-/// Wraps figure rows in the `netcache-fig/v1` envelope.
-pub fn fig_json(figure: &str, seed: u64, rows: &[String]) -> String {
+/// Wraps figure rows in the `netcache-fig/v1` envelope. `seed` is the
+/// seed the rows were drawn with, `None` (JSON `null`) for a figure no
+/// seed moves.
+pub fn fig_json(figure: &str, seed: Option<u64>, rows: &[String]) -> String {
+    let seed = seed.map_or_else(|| "null".to_string(), |s| s.to_string());
     format!(
         "{{\"schema\":\"netcache-fig/v1\",\"figure\":{},\"seed\":{},\"rows\":[{}]}}",
         escape(figure),
@@ -172,8 +175,9 @@ mod tests {
             "{\"name\":\"a\"}".to_string(),
             "{\"name\":\"b\"}".to_string(),
         ];
-        let doc = Json::parse(&fig_json("fig10a", 7, &rows)).expect("valid json");
+        let doc = Json::parse(&fig_json("fig10a", Some(7), &rows)).expect("valid json");
         assert_eq!(doc.get("figure").unwrap().as_str().unwrap(), "fig10a");
+        assert!(matches!(doc.get("seed"), Some(Json::Int(7))));
         assert_eq!(doc.get("rows").unwrap().as_array().unwrap().len(), 2);
     }
 }

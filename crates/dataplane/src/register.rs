@@ -19,26 +19,108 @@ use crate::resources::{Allocation, AsicProfile, PlacementError};
 pub trait Slot: Copy + Default + PartialEq + core::fmt::Debug + 'static {
     /// Width of one slot in bits (for SRAM accounting).
     const BITS: usize;
+    /// How an array of these slots is held in memory.
+    type Cells: Cells<Self>;
+}
+
+/// The memory behind a register array: `len` slots of `T`, all
+/// `T::default()` when created.
+pub trait Cells<T>: Clone + core::fmt::Debug {
+    /// `len` default slots.
+    fn new(len: usize) -> Self;
+    /// Number of slots.
+    fn len(&self) -> usize;
+    /// Whether there are no slots.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// The slot at `index`.
+    fn get(&self, index: usize) -> T;
+    /// Overwrites the slot at `index`.
+    fn set(&mut self, index: usize, value: T);
+    /// Resets every slot to the default.
+    fn clear(&mut self);
+}
+
+impl<T: Copy + Default + core::fmt::Debug> Cells<T> for Box<[T]> {
+    fn new(len: usize) -> Self {
+        vec![T::default(); len].into_boxed_slice()
+    }
+    fn len(&self) -> usize {
+        <[T]>::len(self)
+    }
+    #[inline]
+    fn get(&self, index: usize) -> T {
+        self[index]
+    }
+    #[inline]
+    fn set(&mut self, index: usize, value: T) {
+        self[index] = value;
+    }
+    fn clear(&mut self) {
+        self.fill(T::default());
+    }
+}
+
+/// 1-bit slots packed 64 to a word, as the ASIC's SRAM holds them.
+#[derive(Debug, Clone)]
+pub struct Bits {
+    words: Box<[u64]>,
+    len: usize,
+}
+
+impl Cells<bool> for Bits {
+    fn new(len: usize) -> Self {
+        Bits {
+            words: vec![0; len.div_ceil(64)].into_boxed_slice(),
+            len,
+        }
+    }
+    fn len(&self) -> usize {
+        self.len
+    }
+    #[inline]
+    fn get(&self, index: usize) -> bool {
+        assert!(index < self.len, "bit {index} of {}", self.len);
+        self.words[index / 64] >> (index % 64) & 1 == 1
+    }
+    #[inline]
+    fn set(&mut self, index: usize, value: bool) {
+        assert!(index < self.len, "bit {index} of {}", self.len);
+        let mask = 1u64 << (index % 64);
+        if value {
+            self.words[index / 64] |= mask;
+        } else {
+            self.words[index / 64] &= !mask;
+        }
+    }
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
 }
 
 impl Slot for bool {
     const BITS: usize = 1;
+    type Cells = Bits;
 }
 impl Slot for u16 {
     const BITS: usize = 16;
+    type Cells = Box<[u16]>;
 }
 impl Slot for u32 {
     const BITS: usize = 32;
+    type Cells = Box<[u32]>;
 }
 impl Slot for [u8; 16] {
     const BITS: usize = 128;
+    type Cells = Box<[[u8; 16]]>;
 }
 
 /// A fixed-size array of register slots, resident in one pipeline stage.
 #[derive(Debug, Clone)]
 pub struct RegisterArray<T: Slot> {
     name: &'static str,
-    slots: Box<[T]>,
+    slots: T::Cells,
     /// Epoch of the last access per slot-less granularity: we track one
     /// epoch for the whole array (a packet touches an array at most once).
     last_access_epoch: u64,
@@ -55,7 +137,7 @@ impl<T: Slot> RegisterArray<T> {
         assert!(size > 0, "register array {name} must be non-empty");
         RegisterArray {
             name,
-            slots: vec![T::default(); size].into_boxed_slice(),
+            slots: T::Cells::new(size),
             last_access_epoch: 0,
             accesses: 0,
         }
@@ -129,14 +211,14 @@ impl<T: Slot> RegisterArray<T> {
     #[inline]
     pub fn read(&mut self, epoch: u64, index: usize) -> T {
         self.touch(epoch);
-        self.slots[index]
+        self.slots.get(index)
     }
 
     /// Writes `value` to the slot at `index` during packet `epoch`.
     #[inline]
     pub fn write(&mut self, epoch: u64, index: usize, value: T) {
         self.touch(epoch);
-        self.slots[index] = value;
+        self.slots.set(index, value);
     }
 
     /// Atomically applies `f` to the slot (the ALU read-modify-write a
@@ -144,24 +226,24 @@ impl<T: Slot> RegisterArray<T> {
     #[inline]
     pub fn update(&mut self, epoch: u64, index: usize, f: impl FnOnce(T) -> T) -> T {
         self.touch(epoch);
-        let new = f(self.slots[index]);
-        self.slots[index] = new;
+        let new = f(self.slots.get(index));
+        self.slots.set(index, new);
         new
     }
 
     /// Control-plane read: does not count as a data-plane access.
     pub fn peek(&self, index: usize) -> T {
-        self.slots[index]
+        self.slots.get(index)
     }
 
     /// Control-plane write: does not count as a data-plane access.
     pub fn poke(&mut self, index: usize, value: T) {
-        self.slots[index] = value;
+        self.slots.set(index, value);
     }
 
     /// Control-plane bulk reset to the default value.
     pub fn clear(&mut self) {
-        self.slots.fill(T::default());
+        self.slots.clear();
     }
 }
 
@@ -211,6 +293,27 @@ mod tests {
         assert_eq!(counters.sram_bytes(), 128 * 1024);
         let values: RegisterArray<[u8; 16]> = RegisterArray::new("v", 65_536);
         assert_eq!(values.sram_bytes(), 1024 * 1024);
+    }
+
+    #[test]
+    fn bits_pack_and_clear() {
+        let mut bits: RegisterArray<bool> = RegisterArray::new("bits", 130);
+        for i in [0, 63, 64, 129] {
+            bits.poke(i, true);
+        }
+        assert_eq!((0..130).filter(|&i| bits.peek(i)).count(), 4);
+        assert!(bits.peek(64) && !bits.peek(65));
+        bits.poke(64, false);
+        assert!(!bits.peek(64) && bits.peek(63));
+        bits.clear();
+        assert!((0..130).all(|i| !bits.peek(i)));
+    }
+
+    #[test]
+    #[should_panic(expected = "bit 130 of 130")]
+    fn bits_past_the_end_panic() {
+        let bits: RegisterArray<bool> = RegisterArray::new("bits", 130);
+        bits.peek(130);
     }
 
     #[test]

@@ -99,6 +99,7 @@ pub struct UdpRack {
     core: Arc<FabricCore>,
     runtime: RuntimeKind,
     switch_addr: SocketAddr,
+    server_sockets: Vec<Arc<UdpSocket>>,
     client_sockets: Vec<Arc<UdpSocket>>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
@@ -362,6 +363,7 @@ impl UdpRack {
             core,
             runtime,
             switch_addr,
+            server_sockets,
             client_sockets,
             shutdown,
             threads,
@@ -379,18 +381,37 @@ impl UdpRack {
     }
 
     /// Runs one controller cycle (call periodically from the application
-    /// thread; released writes are rare in examples and re-committed by
-    /// the owning agent, whose replies go out with its next packet I/O).
+    /// thread). The packets of writes its unlocks release are sent as in
+    /// [`Self::populate_cache`].
     pub fn run_controller(&self, now_ns: u64) {
-        let _released = self.core.run_controller_cycle(now_ns);
+        let released = self.core.run_controller_cycle(now_ns);
+        self.send_released(released);
     }
 
-    /// Pre-populates the cache with `keys`.
+    /// Pre-populates the cache with `keys`. Writes that arrived while a
+    /// key was locked for its insertion are committed when the unlock
+    /// releases them; their packets (the client's ack, a cache update)
+    /// are sent to the switch from the owning server's socket, as if the
+    /// server had emitted them, so they cross the same fault model.
     pub fn populate_cache(&self, keys: impl IntoIterator<Item = Key>) -> usize {
-        // Released writes (rare during setup) are re-committed by the
-        // owning agent; their replies ride the server's next I/O.
-        let (inserted, _released) = self.core.populate(keys, 0);
+        let (inserted, released) = self.core.populate(keys, 0);
+        self.send_released(released);
         inserted
+    }
+
+    /// Sends packets released by controller unlocks, each from the socket
+    /// of the server whose port it enters the switch on. These are rare
+    /// control-plane sends, so they bypass the runtime's batching; a send
+    /// that fails is a lost datagram, which the client's retransmission
+    /// covers.
+    fn send_released(&self, released: Vec<(PortId, Packet)>) {
+        let addressing = self.core.addressing();
+        for (port, pkt) in released {
+            let server = (0..self.core.config().servers)
+                .find(|&i| addressing.server_port(i) == port)
+                .expect("released packets enter on a server port");
+            let _ = self.server_sockets[server as usize].send_to(&pkt.deparse(), self.switch_addr);
+        }
     }
 
     /// A blocking UDP client bound to client port `j`.
@@ -795,6 +816,48 @@ mod tests {
             stats.dropped + stats.duplicated + stats.delayed > 0,
             "{stats:?}"
         );
+        rack.stop();
+    }
+
+    #[test]
+    fn writes_released_by_a_controller_unlock_are_sent() {
+        let rack = UdpRack::start(RackConfig::small(2)).unwrap();
+        rack.load_dataset(8, 32);
+        let key = Key::from_u64(3);
+        let agent = Arc::clone(
+            rack.fabric()
+                .server(rack.fabric().addressing().home_of(&key).server),
+        );
+        agent.controller_lock(key);
+        // One retransmission at most, long after the unlock: a reply that
+        // is never sent shows as a retry.
+        let mut client = rack.client(0).with_policy(RetryPolicy {
+            max_retries: 1,
+            base_timeout_ns: 5_000_000_000,
+            max_timeout_ns: 5_000_000_000,
+            jitter: 0.0,
+        });
+        let out = std::thread::scope(|s| {
+            let put = s.spawn(move || client.put_with_retry(key, Value::filled(0xab, 32)));
+            // The put parks behind the lock; the cache insertion's unlock
+            // releases and commits it.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while agent.stats().writes_blocked == 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "the put did not park behind the controller lock within 5 s"
+                );
+                std::thread::yield_now();
+            }
+            assert_eq!(rack.populate_cache([key]), 1);
+            put.join().expect("client thread")
+        });
+        assert!(matches!(
+            out.response.map(ClientResponse::into_response),
+            Some(Response::PutAck { .. })
+        ));
+        assert_eq!(out.retries, 0, "the released write's ack was not sent");
+        assert_eq!(agent.fetch(&key).unwrap().value, Value::filled(0xab, 32));
         rack.stop();
     }
 
